@@ -7,7 +7,7 @@ critical values, and the two independent expectation paths.
 import numpy as np
 
 from ugp import (
-    CriticalValueQuery,
+    ReductionCriterion,
     LinearDistribution,
     TrapezoidalDistribution,
     TriangularDistribution,
@@ -29,9 +29,9 @@ print(f"  inverse(1/6) = {inverse_cdf(tri, 1/6):.6f}")
 # Optimistic and pessimistic values are the inverse at 1 - alpha and alpha;
 # the expected value integrates the inverse over the whole unit interval.
 alpha = 2 / 3
-print(f"  optimistic({alpha:.3f})  = {critical_value(tri, CriticalValueQuery.optimistic(alpha)):.6f}")
-print(f"  pessimistic({alpha:.3f}) = {critical_value(tri, CriticalValueQuery.pessimistic(alpha)):.6f}")
-print(f"  expected value      = {critical_value(tri, CriticalValueQuery.expected()):.6f} "
+print(f"  optimistic({alpha:.3f})  = {critical_value(tri, ReductionCriterion.optimistic(alpha)):.6f}")
+print(f"  pessimistic({alpha:.3f}) = {critical_value(tri, ReductionCriterion.pessimistic(alpha)):.6f}")
+print(f"  expected value      = {critical_value(tri, ReductionCriterion.expected()):.6f} "
       f"(= (a+b+c)/3 = {(2+4+5)/3:.6f})")
 
 # The generic piecewise carrier reproduces the family exactly, and the

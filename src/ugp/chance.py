@@ -191,17 +191,25 @@ class FailedRow:
     message: str
 
 
-def solve_chance(problem: UncertainGPProblem, config: ChanceConfig) -> SweepRow:
-    """Reduce, transform at config.gamma, solve by the dual method."""
-    reduced = reduce_problem(problem, config.reduction)
-    gp = deterministic_form(reduced, config.gamma)
+def _solve_row(
+    objective: Posynomial, reduced: ReducedGPProblem, gamma: float
+) -> SweepRow:
+    gp = DeterministicGP(
+        objective=objective, constraints=_constraint_posynomials(reduced, gamma)
+    )
     solution = solve_gp(gp)
     return SweepRow(
-        gamma=config.gamma,
+        gamma=gamma,
         x_star=solution.primal_x,
         delta_star=solution.delta,
         expected_objective=solution.diagnostics.primal_objective,
     )
+
+
+def solve_chance(problem: UncertainGPProblem, config: ChanceConfig) -> SweepRow:
+    """Reduce, transform at config.gamma, solve by the dual method."""
+    reduced = reduce_problem(problem, config.reduction)
+    return _solve_row(_objective_posynomial(reduced), reduced, config.gamma)
 
 
 def sweep(
@@ -221,19 +229,7 @@ def sweep(
     rows: list[SweepRow | FailedRow] = []
     for gamma in gammas:
         try:
-            gp = DeterministicGP(
-                objective=objective,
-                constraints=_constraint_posynomials(reduced, gamma),
-            )
-            solution = solve_gp(gp)
-            rows.append(
-                SweepRow(
-                    gamma=gamma,
-                    x_star=solution.primal_x,
-                    delta_star=solution.delta,
-                    expected_objective=solution.diagnostics.primal_objective,
-                )
-            )
+            rows.append(_solve_row(objective, reduced, gamma))
         except (ValueError, RuntimeError) as exc:
             rows.append(
                 FailedRow(gamma=gamma, error=type(exc).__name__, message=str(exc))

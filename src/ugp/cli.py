@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from importlib import resources
 from pathlib import Path
@@ -49,7 +50,7 @@ from .errors import (
     YOutOfRange,
 )
 from .gp import solve_gp
-from .twofold import ReductionCriterion, TwoFoldVariable, reduce_twofold
+from .twofold import ReductionCriterion, TwoFoldVariable, curve_samples
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -74,7 +75,8 @@ def load_problem(path: str | Path) -> tuple[list[str], UncertainGPProblem]:
 
     Schema violations raise ProblemFormatError; value violations (params
     not increasing, thetas outside [0, 1], ...) surface as ValueError
-    from the domain constructors.
+    from the domain constructors.  JSON's NaN and Infinity are rejected
+    with a ValueError naming the field.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -133,6 +135,14 @@ def load_problem(path: str | Path) -> tuple[list[str], UncertainGPProblem]:
                     f"{where}: exponent for {name!r} must be a number"
                 )
             row[variables.index(name)] = float(power)
+        for key, values in (
+            ("params", params),
+            ("theta_l", [record["theta_l"]]),
+            ("theta_r", [record["theta_r"]]),
+            ("exponents", row),
+        ):
+            if not all(math.isfinite(v) for v in values):
+                raise ValueError(f"{where}: field '{key}' must be finite, got {values}")
         coefficient = TwoFoldVariable(
             family,
             tuple(float(p) for p in params),
@@ -188,10 +198,13 @@ def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
                 writer.writerow(row)
 
 
-def _sweep_header(n_variables: int, n_terms: int) -> list[str]:
+def _sweep_header(problem: UncertainGPProblem) -> list[str]:
+    n_terms = len(problem.objective) + sum(
+        len(block) for block in problem.constraints
+    )
     return (
         ["gamma"]
-        + [f"x{j + 1}" for j in range(n_variables)]
+        + [f"x{j + 1}" for j in range(problem.n_variables)]
         + [f"delta{i + 1}" for i in range(n_terms)]
         + ["objective"]
     )
@@ -332,33 +345,20 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     if args.samples < 2:
         raise ValueError("--samples must be at least 2")
 
-    labels: list[str] = []
-    coefficients: list[TwoFoldVariable] = []
-    for i, term in enumerate(problem.objective, start=1):
-        labels.append(f"obj{i}")
-        coefficients.append(term.coefficient)
-    for k, block in enumerate(problem.constraints, start=1):
-        for i, term in enumerate(block, start=1):
-            labels.append(f"c{k}t{i}")
-            coefficients.append(term.coefficient)
-
     header: list[str] = []
     columns: list[list[float]] = []
-    for label, coefficient in zip(labels, coefficients):
-        reduced = reduce_twofold(coefficient, criterion)
-        lo, hi = reduced.support
-        step = (hi - lo) / (args.samples - 1)
-        xs = [lo + i * step for i in range(args.samples)]
-        xs[-1] = hi
-        header.extend([f"x_{label}", f"cdf_{label}"])
-        columns.append(xs)
-        columns.append([reduced.cdf(x) for x in xs])
-
-    rows = [
-        [_fmt(col[i]) for col in columns] for i in range(args.samples)
+    blocks = [("obj", problem.objective)] + [
+        (f"c{k}t", block) for k, block in enumerate(problem.constraints, start=1)
     ]
+    for prefix, block in blocks:
+        for i, term in enumerate(block, start=1):
+            xs, (values,) = curve_samples(term.coefficient, [criterion], args.samples)
+            header.extend([f"x_{prefix}{i}", f"cdf_{prefix}{i}"])
+            columns.extend([xs, values])
+
+    rows = [[_fmt(value) for value in row] for row in zip(*columns)]
     _write_csv(Path(args.output), header, rows)
-    print(f"wrote {args.samples} samples for {len(labels)} coefficients "
+    print(f"wrote {args.samples} samples for {len(columns) // 2} coefficients "
           f"to {args.output}")
     return EXIT_OK
 
@@ -388,8 +388,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             delta_star=solution.delta,
             expected_objective=diag.primal_objective,
         )
-        header = _sweep_header(len(row.x_star), len(row.delta_star))
-        _write_csv(Path(args.output), header, _sweep_csv_rows([row]))
+        _write_csv(Path(args.output), _sweep_header(problem), _sweep_csv_rows([row]))
         print(f"wrote {args.output}")
     return EXIT_OK
 
@@ -399,11 +398,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     criterion = _criterion_from_args(args)
     gammas = _parse_gammas(args.gammas)
     outcomes = sweep(problem, gammas, criterion)
-
-    n_terms = len(problem.objective) + sum(
-        len(block) for block in problem.constraints
-    )
-    header = _sweep_header(problem.n_variables, n_terms)
+    header = _sweep_header(problem)
     _write_csv(Path(args.output), header, _sweep_csv_rows(outcomes))
 
     successes = [o for o in outcomes if isinstance(o, SweepRow)]
@@ -425,10 +420,7 @@ def _cmd_tables(args: argparse.Namespace) -> int:
     ):
         _, problem = load_problem(bundled_problem_path(name))
         outcomes = sweep(problem, grid, ReductionCriterion.expected())
-        n_terms = len(problem.objective) + sum(
-            len(block) for block in problem.constraints
-        )
-        header = _sweep_header(problem.n_variables, n_terms)
+        header = _sweep_header(problem)
         _write_csv(outdir / out, header, _sweep_csv_rows(outcomes))
         print(f"{name} -> {outdir / out}")
         _print_table(outcomes, header)

@@ -7,11 +7,16 @@ probability.  This module provides:
 * the native parametric families -- linear, triangular and trapezoidal,
   all with strictly increasing piecewise closed forms;
 * :class:`PiecewiseDistribution`, the generic carrier for any UD built
-  from constant, affine and shifted-quadratic segments (every reduced
-  distribution produced by :mod:`ugp.twofold` lands here);
-* critical values (optimistic / pessimistic / expected) computed both by
-  family closed forms and by the generic inverse/quadrature path, the two
-  of which must agree;
+  from pieces of one form, c0 + c1*(x - m) + c2*(x - m)**2 with c1*c2 = 0
+  (constant, affine or shifted quadratic);
+* the one family table, :meth:`PiecewiseDistribution.from_family`: the
+  triangular and trapezoidal ramps minus k times their band term.  At
+  k = 0 it is the piecewise form of a native family; every reduced
+  distribution produced by :mod:`ugp.twofold` is the same table at the
+  criterion's multiplier k;
+* :class:`ReductionCriterion` and critical values (optimistic /
+  pessimistic / expected) computed both by family closed forms and by the
+  generic inverse/quadrature path, the two of which must agree;
 * a regularity check that samples a distribution densely and reports
   monotonicity violations.
 
@@ -22,22 +27,22 @@ safe to share across threads.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Union
 
+import numpy as np
+
 from .errors import AlphaOutOfRange
-from .numeric import adaptive_simpson, bisect_increasing
+from .numeric import adaptive_simpson
 
 __all__ = [
-    "ConstantSegment",
-    "AffineSegment",
-    "QuadraticSegment",
     "PiecewiseDistribution",
     "LinearDistribution",
     "TriangularDistribution",
     "TrapezoidalDistribution",
-    "CriticalValueQuery",
+    "ReductionCriterion",
     "RegularityReport",
     "as_piecewise",
     "cdf",
@@ -48,6 +53,9 @@ __all__ = [
 ]
 
 
+_SQRT2 = math.sqrt(2.0)
+
+
 def _require_alpha_open(alpha: float, name: str = "alpha") -> float:
     if not (0.0 < alpha < 1.0):
         raise AlphaOutOfRange(f"{name} must lie strictly inside (0, 1), got {alpha!r}")
@@ -55,167 +63,134 @@ def _require_alpha_open(alpha: float, name: str = "alpha") -> float:
 
 
 # ---------------------------------------------------------------------------
-# Segments
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ConstantSegment:
-    """Flat piece: value(x) = level."""
-
-    level: float
-
-    def value(self, x: float) -> float:
-        return self.level
-
-    def inverse(self, gamma: float, lo: float, hi: float) -> float:
-        # Infimum-of-preimage semantics: a flat piece inverts to its left end.
-        return lo
-
-    def integral_of_inverse(self, lo: float, hi: float) -> float:
-        return 0.0  # no mass in gamma
-
-
-@dataclass(frozen=True)
-class AffineSegment:
-    """Affine piece: value(x) = intercept + slope * x."""
-
-    intercept: float
-    slope: float
-
-    def value(self, x: float) -> float:
-        return self.intercept + self.slope * x
-
-    def inverse(self, gamma: float, lo: float, hi: float) -> float:
-        if self.slope == 0.0:
-            return lo
-        return min(max((gamma - self.intercept) / self.slope, lo), hi)
-
-    def integral_of_inverse(self, lo: float, hi: float) -> float:
-        # integral of (gamma - p)/q over [value(lo), value(hi)]
-        if self.slope == 0.0:
-            return 0.0
-        g0, g1 = self.value(lo), self.value(hi)
-        p, q = self.intercept, self.slope
-        return ((g1 * g1 - g0 * g0) / 2.0 - p * (g1 - g0)) / q
-
-
-@dataclass(frozen=True)
-class QuadraticSegment:
-    """Shifted-quadratic piece: value(x) = offset + curvature * (x - center)**2.
-
-    A segment must lie entirely on one side of ``center`` so that it is
-    monotone; the constructors in this package always arrange that.
-    """
-
-    offset: float
-    curvature: float
-    center: float
-
-    def value(self, x: float) -> float:
-        d = x - self.center
-        return self.offset + self.curvature * d * d
-
-    def _side(self, lo: float, hi: float) -> float:
-        # +1 when the segment sits right of its center, -1 when left.
-        return 1.0 if (lo + hi) / 2.0 >= self.center else -1.0
-
-    def inverse(self, gamma: float, lo: float, hi: float) -> float:
-        if self.curvature == 0.0:
-            return lo
-        t = (gamma - self.offset) / self.curvature
-        r = math.sqrt(max(t, 0.0))
-        x = self.center + self._side(lo, hi) * r
-        return min(max(x, lo), hi)
-
-    def integral_of_inverse(self, lo: float, hi: float) -> float:
-        # inverse is center +/- sqrt((gamma - s)/k); antiderivative
-        # center*gamma +/- (2k/3) * ((gamma - s)/k)**1.5
-        if self.curvature == 0.0:
-            return 0.0
-        g0, g1 = self.value(lo), self.value(hi)
-        k, s = self.curvature, self.offset
-        t0 = max((g0 - s) / k, 0.0)
-        t1 = max((g1 - s) / k, 0.0)
-        sign = self._side(lo, hi)
-        return self.center * (g1 - g0) + sign * (2.0 * k / 3.0) * (t1**1.5 - t0**1.5)
-
-    def inverse_by_bisection(self, gamma: float, lo: float, hi: float) -> float:
-        """Closed-form-free fallback used to cross-check the algebraic path."""
-        return bisect_increasing(self.value, lo, hi, gamma)
-
-
-Segment = Union[ConstantSegment, AffineSegment, QuadraticSegment]
-
-
-# ---------------------------------------------------------------------------
 # Piecewise carrier
 # ---------------------------------------------------------------------------
 
 
+def _piece_value(piece: tuple[float, float, float, float], x: float) -> float:
+    c0, c1, c2, m = piece
+    d = x - m
+    return (c0 + c1 * d) + c2 * d * d
+
+
 @dataclass(frozen=True)
 class PiecewiseDistribution:
-    """A UD assembled from segments over consecutive breakpoint intervals.
+    """A UD assembled from pieces over consecutive breakpoint intervals.
 
-    ``segments[i]`` applies on ``[breakpoints[i], breakpoints[i + 1]]``.
-    The value is 0 left of the first breakpoint and 1 right of the last.
+    ``pieces[i] = (c0, c1, c2, m)`` applies on ``[breakpoints[i],
+    breakpoints[i + 1]]`` with value c0 + c1*(x - m) + c2*(x - m)**2.  At
+    most one of c1, c2 is nonzero, so a piece is constant, affine (stored
+    with m = 0) or a quadratic lying on one side of its center m.  The
+    value is 0 left of the first breakpoint and 1 right of the last.
     Construction checks only structure; monotonicity is a property of the
     data and is verified by :func:`check_regularity` (deliberately, so that
     invalid distributions can be built as negative controls in tests).
     """
 
     breakpoints: tuple[float, ...]
-    segments: tuple[Segment, ...]
+    pieces: tuple[tuple[float, float, float, float], ...]
+    # (lo, hi, c0, c1, c2, m) per piece and the running maximum of the
+    # piece tops, as Python floats for the per-scalar inverse.
+    _rows: tuple = field(init=False, repr=False, compare=False)
+    _reach: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.breakpoints) < 2:
             raise ValueError("need at least two breakpoints")
-        if len(self.segments) != len(self.breakpoints) - 1:
+        if len(self.pieces) != len(self.breakpoints) - 1:
             raise ValueError(
                 f"{len(self.breakpoints)} breakpoints require "
-                f"{len(self.breakpoints) - 1} segments, got {len(self.segments)}"
+                f"{len(self.breakpoints) - 1} pieces, got {len(self.pieces)}"
             )
         for left, right in zip(self.breakpoints, self.breakpoints[1:]):
             if not left < right:
                 raise ValueError("breakpoints must be strictly increasing")
+        breakpoints = tuple(map(float, self.breakpoints))
+        pieces = tuple(tuple(map(float, piece)) for piece in self.pieces)
+        rows, reach, best = [], [], -math.inf
+        for lo, hi, piece in zip(breakpoints, breakpoints[1:], pieces):
+            c0, c1, c2, m = piece
+            if c1 != 0.0 and c2 != 0.0:
+                raise ValueError("a piece is affine or quadratic, not both")
+            rows.append((lo, hi, c0, c1, c2, m))
+            best = max(best, _piece_value(piece, hi))
+            reach.append(best)
+        setattr_ = object.__setattr__
+        setattr_(self, "breakpoints", breakpoints)
+        setattr_(self, "pieces", pieces)
+        setattr_(self, "_rows", tuple(rows))
+        setattr_(self, "_reach", reach)
+
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Breakpoints and the (4, pieces) coefficient array for ``cdf``."""
+        return np.array(self.breakpoints), np.array(self.pieces).T
 
     @property
     def support(self) -> tuple[float, float]:
         return self.breakpoints[0], self.breakpoints[-1]
 
-    def cdf(self, x: float) -> float:
-        if x <= self.breakpoints[0]:
-            return 0.0 if x < self.breakpoints[0] else self.segments[0].value(x)
-        if x >= self.breakpoints[-1]:
-            return 1.0 if x > self.breakpoints[-1] else self.segments[-1].value(x)
-        i = bisect_right(self.breakpoints, x) - 1
-        return self.segments[i].value(x)
+    def cdf(self, x):
+        """Value at x, elementwise over arrays; a scalar x gives a float.
+
+        A breakpoint takes the piece on its right, the last one the piece
+        on its left.  Every call pays the numpy set-up, so evaluate a grid
+        in one call rather than point by point.
+        """
+        x = np.asarray(x, dtype=float)
+        grid, coef = self._arrays
+        inside = np.clip(x, grid[0], grid[-1])
+        i = np.searchsorted(grid, inside, side="right") - 1
+        c0, c1, c2, m = coef[:, np.minimum(i, len(self.pieces) - 1)]
+        d = inside - m
+        values = (c0 + c1 * d) + c2 * d * d
+        values = np.where(x < grid[0], 0.0, np.where(x > grid[-1], 1.0, values))
+        return values if values.ndim else float(values)
 
     def inverse(self, gamma: float) -> float:
         """inf{x : cdf(x) >= gamma} for gamma in the open unit interval."""
         _require_alpha_open(gamma, "gamma")
-        for i, seg in enumerate(self.segments):
-            lo, hi = self.breakpoints[i], self.breakpoints[i + 1]
-            if seg.value(hi) >= gamma:
-                # Clamping to [lo, hi] makes inversion land on the left
-                # breakpoint whenever gamma falls in a jump gap.
-                return seg.inverse(gamma, lo, hi)
-        return self.breakpoints[-1]
+        i = bisect_left(self._reach, gamma)  # first piece whose top reaches gamma
+        if i == len(self._rows):
+            return self.breakpoints[-1]
+        lo, hi, c0, c1, c2, m = self._rows[i]
+        if c2 != 0.0:
+            r = math.sqrt(max((gamma - c0) / c2, 0.0))
+            x = m + r if (lo + hi) / 2.0 >= m else m - r
+        elif c1 != 0.0:
+            x = m + (gamma - c0) / c1
+        else:
+            return lo  # a flat piece inverts to its left end
+        # Clamping to [lo, hi] makes inversion land on the left
+        # breakpoint whenever gamma falls in a jump gap.
+        return min(max(x, lo), hi)
 
     def expected_value(self) -> float:
-        """Integral of the inverse over (0, 1), segment by segment in closed form.
+        """Integral of the inverse over (0, 1), piece by piece in closed form.
 
-        Jumps between consecutive segment values contribute the jump
+        The inverse of an affine piece is affine in gamma and that of a
+        quadratic piece is m +/- sqrt((gamma - c0)/c2); flat pieces carry no
+        mass.  Jumps between consecutive piece values contribute the jump
         abscissa times the gap, matching infimum-of-preimage inversion.
         """
         total = 0.0
         top = 0.0
-        for i, seg in enumerate(self.segments):
-            lo, hi = self.breakpoints[i], self.breakpoints[i + 1]
-            g0, g1 = seg.value(lo), seg.value(hi)
+        for lo, hi, c0, c1, c2, m in self._rows:
+            g0 = _piece_value((c0, c1, c2, m), lo)
+            g1 = _piece_value((c0, c1, c2, m), hi)
             if g0 > top:
                 total += lo * (g0 - top)
-            total += seg.integral_of_inverse(lo, hi)
+            if c2 != 0.0:
+                t0 = max((g0 - c0) / c2, 0.0)
+                t1 = max((g1 - c0) / c2, 0.0)
+                sign = 1.0 if (lo + hi) / 2.0 >= m else -1.0
+                total += m * (g1 - g0) + sign * (2.0 * c2 / 3.0) * (
+                    t1**1.5 - t0**1.5
+                )
+            elif c1 != 0.0:
+                total += m * (g1 - g0) + (
+                    (g1 * g1 - g0 * g0) / 2.0 - c0 * (g1 - g0)
+                ) / c1
             top = max(top, g1)
         if top < 1.0:
             total += self.breakpoints[-1] * (1.0 - top)
@@ -224,8 +199,8 @@ class PiecewiseDistribution:
     def expected_by_quadrature(self, tol: float = 1e-10, max_depth: int = 60) -> float:
         """Same integral via adaptive Simpson on the inverse, per gamma panel."""
         knots = [0.0]
-        for i, seg in enumerate(self.segments):
-            g = seg.value(self.breakpoints[i + 1])
+        for row in self._rows:
+            g = _piece_value(row[2:], row[1])
             if g > knots[-1]:
                 knots.append(min(g, 1.0))
         if knots[-1] < 1.0:
@@ -243,6 +218,60 @@ class PiecewiseDistribution:
 
     def to_piecewise(self) -> "PiecewiseDistribution":
         return self
+
+    @classmethod
+    def from_family(
+        cls, params: tuple[float, ...], k: float = 0.0
+    ) -> "PiecewiseDistribution":
+        """Triangular (a, b, c) or trapezoidal (a, b, c, d) ramp minus k * band.
+
+        This is the one family table.  band(x) is the distance from the base
+        value to the nearer of its ramp's end levels, so base - k * band is
+        the native family at k = 0 and the reduced distribution of a
+        two-fold variable at k = criterion.multiplier(theta_l, theta_r).
+        Each ramp splits where the nearer end switches: at a + (b-a)/sqrt(2)
+        and c - (c-b)/sqrt(2) for a triangle; a trapezoid splits its ramps
+        at a + (b-a)/sqrt(2), (b+c)/2 and d - (d-c)/sqrt(2).
+        """
+        if len(params) == 3:
+            a, b, c = params
+            up = (b - a) * (c - a)
+            down = (c - a) * (c - b)
+            plateau = (b - a) / (c - a)
+            top = (c - b) / (c - a)
+            m1 = a + (b - a) / _SQRT2
+            m2 = c - (c - b) / _SQRT2
+            return cls(
+                (a, m1, b, m2, c),
+                (
+                    (0.0, 0.0, (1.0 - k) / up, a),
+                    (-k * plateau, 0.0, (1.0 + k) / up, a),
+                    (1.0 - k * top, 0.0, -(1.0 - k) / down, c),
+                    (1.0, 0.0, -(1.0 + k) / down, c),
+                ),
+            )
+
+        a, b, c, d = params
+        s = d + c - a - b
+        up = s * (b - a)
+        down = s * (d - c)
+        plateau_b = (b - a) / s
+        plateau_c = (2.0 * c - a - b) / s
+        top = (d - c) / s
+        m1 = a + (b - a) / _SQRT2
+        mid = (b + c) / 2.0
+        m3 = d - (d - c) / _SQRT2
+        return cls(
+            (a, m1, b, mid, c, m3, d),
+            (
+                (0.0, 0.0, (1.0 - k) / up, a),
+                (-k * plateau_b, 0.0, (1.0 + k) / up, a),
+                (k * plateau_b - (1.0 - k) * (a + b) / s, 2.0 * (1.0 - k) / s, 0.0, 0.0),
+                (-k * plateau_c - (1.0 + k) * (a + b) / s, 2.0 * (1.0 + k) / s, 0.0, 0.0),
+                (1.0 - k * top, 0.0, -(1.0 - k) / down, d),
+                (1.0, 0.0, -(1.0 + k) / down, d),
+            ),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +310,7 @@ class LinearDistribution:
     def to_piecewise(self) -> PiecewiseDistribution:
         span = self.b - self.a
         return PiecewiseDistribution(
-            (self.a, self.b),
-            (AffineSegment(-self.a / span, 1.0 / span),),
+            (self.a, self.b), ((-self.a / span, 1.0 / span, 0.0, 0.0),)
         )
 
 
@@ -329,14 +357,7 @@ class TriangularDistribution:
         return (self.a + self.b + self.c) / 3.0
 
     def to_piecewise(self) -> PiecewiseDistribution:
-        a, b, c = self.a, self.b, self.c
-        return PiecewiseDistribution(
-            (a, b, c),
-            (
-                QuadraticSegment(0.0, 1.0 / ((b - a) * (c - a)), a),
-                QuadraticSegment(1.0, -1.0 / ((c - a) * (c - b)), c),
-            ),
-        )
+        return PiecewiseDistribution.from_family((self.a, self.b, self.c))
 
 
 @dataclass(frozen=True)
@@ -396,15 +417,7 @@ class TrapezoidalDistribution:
         return ((d**3 - c**3) / (d - c) - (b**3 - a**3) / (b - a)) / (3.0 * s)
 
     def to_piecewise(self) -> PiecewiseDistribution:
-        a, b, c, d, s = self.a, self.b, self.c, self.d, self._span
-        return PiecewiseDistribution(
-            (a, b, c, d),
-            (
-                QuadraticSegment(0.0, 1.0 / (s * (b - a)), a),
-                AffineSegment(-(a + b) / s, 2.0 / s),
-                QuadraticSegment(1.0, -1.0 / (s * (d - c)), d),
-            ),
-        )
+        return PiecewiseDistribution.from_family((self.a, self.b, self.c, self.d))
 
 
 NativeDistribution = Union[
@@ -419,18 +432,22 @@ Distribution = Union[NativeDistribution, PiecewiseDistribution]
 
 
 @dataclass(frozen=True)
-class CriticalValueQuery:
-    """Which critical value to take, and at which level when one is needed."""
+class ReductionCriterion:
+    """Optimistic(alpha), pessimistic(alpha) or expected.
+
+    It picks a critical value of a single-fold UD, and collapses the band
+    of a two-fold variable to one level (see :mod:`ugp.twofold`).
+    """
 
     kind: str  # "optimistic" | "pessimistic" | "expected"
     alpha: float | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in ("optimistic", "pessimistic", "expected"):
-            raise ValueError(f"unknown critical value kind {self.kind!r}")
+            raise ValueError(f"unknown reduction kind {self.kind!r}")
         if self.kind == "expected":
             if self.alpha is not None:
-                raise ValueError("expected value takes no alpha")
+                raise ValueError("expected reduction takes no alpha")
         else:
             if self.alpha is None or not (0.0 < self.alpha < 1.0):
                 raise AlphaOutOfRange(
@@ -438,16 +455,24 @@ class CriticalValueQuery:
                 )
 
     @classmethod
-    def optimistic(cls, alpha: float) -> "CriticalValueQuery":
+    def optimistic(cls, alpha: float) -> "ReductionCriterion":
         return cls("optimistic", alpha)
 
     @classmethod
-    def pessimistic(cls, alpha: float) -> "CriticalValueQuery":
+    def pessimistic(cls, alpha: float) -> "ReductionCriterion":
         return cls("pessimistic", alpha)
 
     @classmethod
-    def expected(cls) -> "CriticalValueQuery":
+    def expected(cls) -> "ReductionCriterion":
         return cls("expected")
+
+    def multiplier(self, theta_l: float, theta_r: float) -> float:
+        """Scalar k such that the reduced level is base - k * band_term."""
+        if self.kind == "optimistic":
+            return self.alpha * theta_l - (1.0 - self.alpha) * theta_r
+        if self.kind == "pessimistic":
+            return (1.0 - self.alpha) * theta_l - self.alpha * theta_r
+        return (theta_l - theta_r) / 2.0
 
 
 def as_piecewise(ud: Distribution) -> PiecewiseDistribution:
@@ -473,8 +498,8 @@ def expected_value(
 ) -> float:
     """Integral of the inverse distribution over (0, 1).
 
-    ``method="analytic"`` sums per-segment closed-form antiderivatives
-    (the inverse of every segment kind is affine or of the form
+    ``method="analytic"`` sums per-piece closed-form antiderivatives
+    (the inverse of every piece is affine or of the form
     p +/- sqrt(q + r*gamma)); ``method="simpson"`` integrates the inverse
     by adaptive quadrature instead.  The two agree to well below 1e-8 on
     every family in this package.
@@ -487,7 +512,7 @@ def expected_value(
     raise ValueError(f"unknown method {method!r}")
 
 
-def critical_value(ud: Distribution, query: CriticalValueQuery) -> float:
+def critical_value(ud: Distribution, query: ReductionCriterion) -> float:
     """Optimistic/pessimistic value at a level, or the expected value.
 
     For the native families the closed forms are used:
@@ -537,29 +562,27 @@ def check_regularity(
 
     A decrease larger than ``slack`` between consecutive grid points is a
     violation; up to ``max_reported`` of them are listed.  Boundary values
-    at the support endpoints are reported as well.
+    at the support endpoints are reported as well.  The piecewise form of
+    the UD is sampled, grid and endpoints in one array call.
     """
-    lo, hi = ud.support
+    if grid_points < 2:
+        raise ValueError(f"grid_points must be at least 2, got {grid_points!r}")
+    pw = as_piecewise(ud)
+    lo, hi = pw.support
     left, right = lo - 1.0, hi + 1.0
     step = (right - left) / (grid_points - 1)
-    violations: list[tuple[float, float, float]] = []
-    max_drop = 0.0
-    prev_x = left
-    prev_v = ud.cdf(left)
-    for i in range(1, grid_points):
-        x = left + i * step
-        v = ud.cdf(x)
-        drop = prev_v - v
-        if drop > max_drop:
-            max_drop = drop
-        if drop > slack and len(violations) < max_reported:
-            violations.append((prev_x, x, drop))
-        prev_x, prev_v = x, v
+    xs = left + np.arange(grid_points) * step
+    values = pw.cdf(np.append(xs, (lo, hi)))
+    drops = values[: grid_points - 1] - values[1:grid_points]
+    rises = drops[drops > 0.0]
+    bad = np.flatnonzero(drops > slack)[:max_reported]
     return RegularityReport(
-        passed=not violations,
-        max_decrease=max_drop,
-        violations=tuple(violations),
-        value_at_lower=ud.cdf(lo),
-        value_at_upper=ud.cdf(hi),
+        passed=not bad.size,
+        max_decrease=float(rises.max()) if rises.size else 0.0,
+        violations=tuple(
+            (float(xs[j]), float(xs[j + 1]), float(drops[j])) for j in bad
+        ),
+        value_at_lower=float(values[-2]),
+        value_at_upper=float(values[-1]),
         grid_points=grid_points,
     )

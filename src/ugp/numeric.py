@@ -1,8 +1,10 @@
 """Scalar numerical utilities: bisection and adaptive Simpson quadrature.
 
-These back the generic inversion and expectation paths of the distribution
-machinery.  Both routines are deliberately scalar: every integrand and
-every function to invert in this package is a cheap closed-form piece.
+Simpson backs the quadrature expectation path of the distribution
+machinery; bisection is the closed-form-free route that the piece inverses
+are checked against.  Both routines are deliberately scalar: every
+integrand and every function to invert in this package is a cheap
+closed-form piece.
 """
 
 from __future__ import annotations

@@ -16,29 +16,29 @@ three criteria applied to the linear band:
 * expected:                    (A + B) / 2
 
 All three produce ``base(x) - k * band_halfwidth_term(x)`` with a single
-scalar multiplier k, so the reduced distribution is an exact piecewise
-object: the quadratic ramps split where the band-width minimum switches
-branch (at a + (b-a)/sqrt(2) style points), the affine ramp of a
-trapezoid splits at (b+c)/2.  Since the band width vanishes at the
-plateau abscissas, every reduced distribution is continuous and, for
-admissible alpha, strictly increasing on its support.
+scalar multiplier k, and so do the band edges themselves: A is that
+expression at k = theta_l and B at k = -theta_r.  Everything here is
+therefore read off one family table,
+:meth:`ugp.distributions.PiecewiseDistribution.from_family` at some k:
+the surface, the base family (k = 0) and every reduced distribution.  The
+quadratic ramps split where the band-width minimum switches branch (at
+a + (b-a)/sqrt(2) style points), the affine ramp of a trapezoid splits
+at (b+c)/2.  Since the band width vanishes at the plateau abscissas,
+every reduced distribution is continuous and, for admissible alpha,
+strictly increasing on its support.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .distributions import (
-    AffineSegment,
-    ConstantSegment,
     PiecewiseDistribution,
-    QuadraticSegment,
-    Segment,
+    ReductionCriterion,
     TrapezoidalDistribution,
     TriangularDistribution,
 )
-from .errors import AlphaOutOfRange, YOutOfRange
+from .errors import YOutOfRange
 
 __all__ = [
     "ReductionCriterion",
@@ -50,48 +50,6 @@ __all__ = [
     "reduced_inverse",
     "curve_samples",
 ]
-
-_SQRT2 = math.sqrt(2.0)
-
-
-@dataclass(frozen=True)
-class ReductionCriterion:
-    """Reduction rule: optimistic(alpha), pessimistic(alpha) or expected."""
-
-    kind: str
-    alpha: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("optimistic", "pessimistic", "expected"):
-            raise ValueError(f"unknown reduction kind {self.kind!r}")
-        if self.kind == "expected":
-            if self.alpha is not None:
-                raise ValueError("expected reduction takes no alpha")
-        else:
-            if self.alpha is None or not (0.0 < self.alpha < 1.0):
-                raise AlphaOutOfRange(
-                    f"alpha must lie strictly inside (0, 1), got {self.alpha!r}"
-                )
-
-    @classmethod
-    def optimistic(cls, alpha: float) -> "ReductionCriterion":
-        return cls("optimistic", alpha)
-
-    @classmethod
-    def pessimistic(cls, alpha: float) -> "ReductionCriterion":
-        return cls("pessimistic", alpha)
-
-    @classmethod
-    def expected(cls) -> "ReductionCriterion":
-        return cls("expected")
-
-    def multiplier(self, theta_l: float, theta_r: float) -> float:
-        """Scalar k such that the reduced level is base - k * band_term."""
-        if self.kind == "optimistic":
-            return self.alpha * theta_l - (1.0 - self.alpha) * theta_r
-        if self.kind == "pessimistic":
-            return (1.0 - self.alpha) * theta_l - self.alpha * theta_r
-        return (theta_l - theta_r) / 2.0
 
 
 @dataclass(frozen=True)
@@ -174,60 +132,26 @@ class TwoFoldSurfacePoint:
         return self.lower
 
 
-def _constant(x: float, v: float) -> TwoFoldSurfacePoint:
-    return TwoFoldSurfacePoint(x, "constant", v, v)
-
-
-def _band(x: float, base: float, halfterm: float, tl: float, tr: float) -> TwoFoldSurfacePoint:
-    return TwoFoldSurfacePoint(x, "band", base - tl * halfterm, base + tr * halfterm)
-
-
 def surface_at(tf: TwoFoldVariable, x: float) -> TwoFoldSurfacePoint:
     """Envelope of distribution levels at x.
 
     Strictly inside a ramp the level is a linear band around the base
     family's value, with half-width theta * min(distance to the ramp's
-    bottom level, distance to the ramp's top level).  At the support
-    boundaries and slope-change abscissas the level is a crisp constant.
+    bottom level, distance to the ramp's top level): the family table at
+    k = theta_l below, at k = -theta_r above.  At the support boundaries,
+    outside the support and at the slope-change abscissas the level is the
+    crisp base value.
     """
-    tl, tr = tf.theta_l, tf.theta_r
-    if tf.family == "triangular":
-        a, b, c = tf.params
-        if x <= a:
-            return _constant(x, 0.0)
-        if x >= c:
-            return _constant(x, 1.0)
-        plateau = (b - a) / (c - a)
-        if x == b:
-            return _constant(x, plateau)
-        if x < b:
-            q = (x - a) ** 2 / ((b - a) * (c - a))
-            return _band(x, q, min(q, plateau - q), tl, tr)
-        r = (c - x) ** 2 / ((c - a) * (c - b))
-        top = (c - b) / (c - a)
-        return _band(x, 1.0 - r, min(top - r, r), tl, tr)
-
-    a, b, c, d = tf.params
-    s = d + c - a - b
-    if x <= a:
-        return _constant(x, 0.0)
-    if x >= d:
-        return _constant(x, 1.0)
-    plateau_b = (b - a) / s
-    plateau_c = (2.0 * c - a - b) / s
-    if x == b:
-        return _constant(x, plateau_b)
-    if x == c:
-        return _constant(x, plateau_c)
-    if x < b:
-        q = (x - a) ** 2 / (s * (b - a))
-        return _band(x, q, min(q, plateau_b - q), tl, tr)
-    if x < c:
-        m = (2.0 * x - a - b) / s
-        return _band(x, m, min(m - plateau_b, plateau_c - m), tl, tr)
-    r = (d - x) ** 2 / (s * (d - c))
-    top = (d - c) / s
-    return _band(x, 1.0 - r, min(top - r, r), tl, tr)
+    lo, hi = tf.support
+    if x <= lo or x >= hi or x in tf.params:
+        level = PiecewiseDistribution.from_family(tf.params).cdf(x)
+        return TwoFoldSurfacePoint(x, "constant", level, level)
+    lower = PiecewiseDistribution.from_family(tf.params, tf.theta_l).cdf(x)
+    upper = PiecewiseDistribution.from_family(tf.params, -tf.theta_r).cdf(x)
+    # Where the band vanishes, or at theta = 1, rounding can push an edge
+    # an ulp past 0, 1 or the other edge.
+    lower, upper = max(lower, 0.0), min(upper, 1.0)
+    return TwoFoldSurfacePoint(x, "band", min(lower, upper), upper)
 
 
 def twofold_cdf(tf: TwoFoldVariable, x: float, y: float) -> float:
@@ -252,70 +176,17 @@ def twofold_cdf(tf: TwoFoldVariable, x: float, y: float) -> float:
     return (y - lo) / (hi - lo)
 
 
-def _quad(offset: float, curvature: float, center: float) -> Segment:
-    if curvature == 0.0:
-        return ConstantSegment(offset)
-    return QuadraticSegment(offset, curvature, center)
-
-
-def _affine(intercept: float, slope: float) -> Segment:
-    if slope == 0.0:
-        return ConstantSegment(intercept)
-    return AffineSegment(intercept, slope)
-
-
 def reduce_twofold(
     tf: TwoFoldVariable, criterion: ReductionCriterion
 ) -> PiecewiseDistribution:
     """Collapse a two-fold variable to its reduced single-fold distribution.
 
     The result is exact: reduced(x) = base(x) - k * band_term(x) with
-    k = criterion.multiplier(theta_l, theta_r), materialized as segment
-    descriptors.  Interior split points sit where the band-width minimum
-    changes branch: at a + (b-a)/sqrt(2) and c - (c-b)/sqrt(2) for a
-    triangular variable; a trapezoidal variable adds (b+c)/2 and
-    d - (d-c)/sqrt(2).
+    k = criterion.multiplier(theta_l, theta_r), which is the family table
+    :meth:`PiecewiseDistribution.from_family` at that k.
     """
     k = criterion.multiplier(tf.theta_l, tf.theta_r)
-    if tf.family == "triangular":
-        a, b, c = tf.params
-        up = (b - a) * (c - a)
-        down = (c - a) * (c - b)
-        plateau = (b - a) / (c - a)
-        top = (c - b) / (c - a)
-        m1 = a + (b - a) / _SQRT2
-        m2 = c - (c - b) / _SQRT2
-        return PiecewiseDistribution(
-            (a, m1, b, m2, c),
-            (
-                _quad(0.0, (1.0 - k) / up, a),
-                _quad(-k * plateau, (1.0 + k) / up, a),
-                _quad(1.0 - k * top, -(1.0 - k) / down, c),
-                _quad(1.0, -(1.0 + k) / down, c),
-            ),
-        )
-
-    a, b, c, d = tf.params
-    s = d + c - a - b
-    up = s * (b - a)
-    down = s * (d - c)
-    plateau_b = (b - a) / s
-    plateau_c = (2.0 * c - a - b) / s
-    top = (d - c) / s
-    m1 = a + (b - a) / _SQRT2
-    mid = (b + c) / 2.0
-    m3 = d - (d - c) / _SQRT2
-    return PiecewiseDistribution(
-        (a, m1, b, mid, c, m3, d),
-        (
-            _quad(0.0, (1.0 - k) / up, a),
-            _quad(-k * plateau_b, (1.0 + k) / up, a),
-            _affine(k * plateau_b - (1.0 - k) * (a + b) / s, 2.0 * (1.0 - k) / s),
-            _affine(-k * plateau_c - (1.0 + k) * (a + b) / s, 2.0 * (1.0 + k) / s),
-            _quad(1.0 - k * top, -(1.0 - k) / down, d),
-            _quad(1.0, -(1.0 + k) / down, d),
-        ),
-    )
+    return PiecewiseDistribution.from_family(tf.params, k)
 
 
 def reduced_inverse(
@@ -341,8 +212,5 @@ def curve_samples(
     step = (hi - lo) / (samples - 1)
     xs = [lo + i * step for i in range(samples)]
     xs[-1] = hi
-    columns = []
-    for criterion in criteria:
-        reduced = reduce_twofold(tf, criterion)
-        columns.append([reduced.cdf(x) for x in xs])
+    columns = [reduce_twofold(tf, criterion).cdf(xs).tolist() for criterion in criteria]
     return xs, columns

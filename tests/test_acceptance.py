@@ -12,7 +12,6 @@ import numpy as np
 from ugp.chance import sweep
 from ugp.cli import bundled_problem_path, load_problem
 from ugp.distributions import (
-    CriticalValueQuery,
     LinearDistribution,
     TrapezoidalDistribution,
     TriangularDistribution,
@@ -168,11 +167,11 @@ def test_criterion_4_closed_form_equivalence_suite():
             pw = as_piecewise(ud)
             alpha = float(rng.uniform(0.01, 0.99))
             checks = [
-                ("optimistic", critical_value(ud, CriticalValueQuery.optimistic(alpha)),
+                ("optimistic", critical_value(ud, ReductionCriterion.optimistic(alpha)),
                  pw.inverse(1 - alpha)),
-                ("pessimistic", critical_value(ud, CriticalValueQuery.pessimistic(alpha)),
+                ("pessimistic", critical_value(ud, ReductionCriterion.pessimistic(alpha)),
                  pw.inverse(alpha)),
-                ("expected", critical_value(ud, CriticalValueQuery.expected()),
+                ("expected", critical_value(ud, ReductionCriterion.expected()),
                  pw.expected_by_quadrature()),
             ]
             for kind, closed, generic in checks:
@@ -182,7 +181,7 @@ def test_criterion_4_closed_form_equivalence_suite():
                         f"generic {generic:.12f}"
                     )
             if name == "triangular":
-                mean = critical_value(ud, CriticalValueQuery.expected())
+                mean = critical_value(ud, ReductionCriterion.expected())
                 if abs(mean - float(np.sum(pts) / 3)) > 1e-10:
                     failures.append(f"triangular draw {i}: mean {mean} vs (a+b+c)/3")
     _report(
@@ -213,17 +212,18 @@ def test_criterion_5_reduction_identity_suite():
         exp = reduce_twofold(tf, ReductionCriterion.expected())
         half = reduce_twofold(tf, ReductionCriterion.optimistic(0.5))
 
-        worst_mirror = max(abs(pess.cdf(x) - opt.cdf(x)) for x in grid)
+        worst_mirror = np.max(np.abs(pess.cdf(grid) - opt.cdf(grid)))
         if worst_mirror > IDENTITY_TOL:
             failures.append(f"draw {i}: pessimistic/optimistic mirror off by {worst_mirror:.2e}")
-        worst_half = max(abs(exp.cdf(x) - half.cdf(x)) for x in grid)
+        worst_half = np.max(np.abs(exp.cdf(grid) - half.cdf(grid)))
         if worst_half > IDENTITY_TOL:
             failures.append(f"draw {i}: expected/half-optimistic off by {worst_half:.2e}")
 
         plain = TwoFoldVariable(family, tuple(pts), 0.0, 0.0)
         base = plain.base_distribution()
         degenerate = reduce_twofold(plain, ReductionCriterion.optimistic(alpha))
-        worst_base = max(abs(degenerate.cdf(x) - base.cdf(x)) for x in grid)
+        native = np.array([base.cdf(x) for x in grid])
+        worst_base = np.max(np.abs(degenerate.cdf(grid) - native))
         if worst_base > IDENTITY_TOL:
             failures.append(f"draw {i}: zero-theta reduction off base by {worst_base:.2e}")
 

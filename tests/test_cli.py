@@ -1,6 +1,7 @@
 """CLI surface: problem files, CSV outputs, exit codes, determinism."""
 
 import csv
+import hashlib
 import json
 
 import pytest
@@ -99,6 +100,28 @@ class TestProblemFiles:
         assert main(["solve", path, "--gamma", "0.5"]) == EXIT_DOMAIN
 
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("params", [2, 4, float("inf")]),
+            ("params", [float("nan"), 4, 5]),
+            ("theta_l", float("nan")),
+            ("theta_r", float("-inf")),
+            ("exponents", {"x": float("nan")}),
+        ],
+    )
+    def test_nonfinite_values_name_the_field(self, tmp_path, capsys, field, value):
+        doc = json.loads(json.dumps(AMGM))
+        doc["objective"][1][field] = value
+        path = write_problem(tmp_path / "p.json", doc)
+        with pytest.raises(ValueError, match=f"objective\\[1\\]: field '{field}'"):
+            load_problem(path)
+        assert main(["solve", path, "--gamma", "0.5"]) == EXIT_DOMAIN
+        message = capsys.readouterr().err
+        assert f"field '{field}' must be finite" in message
+        assert "rank" not in message  # the solver is never reached
+
+
 class TestExitCodes:
     def test_parse_error_exit(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -171,6 +194,35 @@ class TestReduceCommand:
              "-o", str(out_b)]
         ) == EXIT_OK
         assert out_a.read_bytes() == out_b.read_bytes()
+
+
+    # sha256 of the CSV written by ``ugp reduce`` (1000 samples) for the
+    # bundled problems, recorded before the piecewise carrier was rewritten;
+    # the curves are pure arithmetic, so they must stay bit-identical.
+    REDUCE_SHA256 = {
+        ("triangular_case.json", "expected"):
+            "eb45438f791064a29af0f00245c101ed044c27b661376abeb7f0ca56abe04b86",
+        ("triangular_case.json", "optimistic"):
+            "66ea1634e4cec73430a3f81cd19f4ec25a4f3e7a47f3aee68ef8a305784eade9",
+        ("triangular_case.json", "pessimistic"):
+            "bf993f1a6b5604926704234d230e30a000c4436364b3f3ecfc6ebbe71b8f35f1",
+        ("trapezoidal_case.json", "expected"):
+            "d8e7e673ab8f1eb89f3ecd4d1b0f9027c6208fb79d50bc7b4047013eaff7aa06",
+        ("trapezoidal_case.json", "optimistic"):
+            "e50fbf4effbca83bc231a0d083208da27a17dd783425b5879a426fdaa3c13248",
+        ("trapezoidal_case.json", "pessimistic"):
+            "40b03f4bb26cc11d4d5300ee3ad0c4697c909128b81ee86c3d1cfa02d388b1b6",
+    }
+    ALPHA = {"expected": [], "optimistic": ["--alpha", "0.3"],
+             "pessimistic": ["--alpha", "0.7"]}
+
+    @pytest.mark.parametrize("name, criterion", sorted(REDUCE_SHA256))
+    def test_bundled_curves_are_pinned(self, tmp_path, name, criterion):
+        out = tmp_path / "curves.csv"
+        argv = ["reduce", str(bundled_problem_path(name)), "--criterion", criterion]
+        assert main(argv + self.ALPHA[criterion] + ["-o", str(out)]) == EXIT_OK
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == self.REDUCE_SHA256[(name, criterion)]
 
 
 class TestSolveCommand:

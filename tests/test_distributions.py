@@ -7,12 +7,9 @@ import numpy as np
 import pytest
 
 from ugp.distributions import (
-    AffineSegment,
-    ConstantSegment,
-    CriticalValueQuery,
     LinearDistribution,
     PiecewiseDistribution,
-    QuadraticSegment,
+    ReductionCriterion,
     TrapezoidalDistribution,
     TriangularDistribution,
     as_piecewise,
@@ -26,6 +23,14 @@ from ugp.errors import AlphaOutOfRange, QuadratureNonConvergence
 from ugp.numeric import adaptive_simpson, bisect_increasing
 
 from support import expected_by_grid
+
+
+def flat(level: float) -> tuple[float, float, float, float]:
+    return (level, 0.0, 0.0, 0.0)
+
+
+def ramp(intercept: float, slope: float) -> tuple[float, float, float, float]:
+    return (intercept, slope, 0.0, 0.0)
 
 
 def random_family(rng, family: str):
@@ -58,9 +63,13 @@ class TestConstruction:
         with pytest.raises(ValueError):
             PiecewiseDistribution((0.0,), ())
         with pytest.raises(ValueError):
-            PiecewiseDistribution((0.0, 1.0), (ConstantSegment(0.5), ConstantSegment(0.6)))
+            PiecewiseDistribution((0.0, 1.0), (flat(0.5), flat(0.6)))
         with pytest.raises(ValueError):
-            PiecewiseDistribution((1.0, 0.0), (ConstantSegment(0.5),))
+            PiecewiseDistribution((1.0, 0.0), (flat(0.5),))
+
+    def test_piece_is_affine_or_quadratic_not_both(self):
+        with pytest.raises(ValueError):
+            PiecewiseDistribution((0.0, 1.0), ((0.0, 0.5, 0.5, 0.0),))
 
 
 class TestEvaluation:
@@ -86,8 +95,9 @@ class TestEvaluation:
                 ud = random_family(rng, family)
                 pw = as_piecewise(ud)
                 lo, hi = ud.support
-                for x in np.linspace(lo - 1, hi + 1, 200):
-                    assert pw.cdf(x) == pytest.approx(ud.cdf(x), abs=1e-14)
+                xs = np.linspace(lo - 1, hi + 1, 200)
+                native = [ud.cdf(x) for x in xs]
+                assert pw.cdf(xs) == pytest.approx(native, abs=1e-14)
 
     def test_values_stay_in_unit_interval_and_monotone(self):
         rng = np.random.default_rng(11)
@@ -126,11 +136,7 @@ class TestInversion:
     def test_flat_segment_inverts_to_left_endpoint(self):
         pw = PiecewiseDistribution(
             (0.0, 1.0, 2.0, 3.0),
-            (
-                AffineSegment(0.0, 0.4),
-                ConstantSegment(0.4),
-                AffineSegment(-0.8, 0.6),
-            ),
+            (ramp(0.0, 0.4), flat(0.4), ramp(-0.8, 0.6)),
         )
         assert pw.inverse(0.4) == pytest.approx(1.0, abs=1e-12)
 
@@ -139,7 +145,7 @@ class TestInversion:
         # must invert to the jump abscissa
         pw = PiecewiseDistribution(
             (0.0, 1.0, 2.0),
-            (AffineSegment(0.0, 0.3), AffineSegment(0.4, 0.3)),
+            (ramp(0.0, 0.3), ramp(0.4, 0.3)),
         )
         for gamma in (0.31, 0.5, 0.69):
             assert pw.inverse(gamma) == pytest.approx(1.0, abs=1e-12)
@@ -155,42 +161,42 @@ class TestInversion:
                     )
 
     def test_quadratic_bisection_fallback_agrees(self):
-        seg = QuadraticSegment(0.0, 1.0 / 6.0, 2.0)
+        pw = PiecewiseDistribution((2.0, 4.0), ((0.0, 0.0, 1.0 / 6.0, 2.0),))
         for gamma in np.linspace(0.05, 0.6, 9):
-            closed = seg.inverse(gamma, 2.0, 4.0)
-            bisected = seg.inverse_by_bisection(gamma, 2.0, 4.0)
+            closed = pw.inverse(gamma)
+            bisected = bisect_increasing(pw.cdf, 2.0, 4.0, gamma)
             assert bisected == pytest.approx(closed, abs=1e-10)
 
 
 class TestCriticalValues:
     def test_triangular_expected(self):
-        q = CriticalValueQuery.expected()
+        q = ReductionCriterion.expected()
         assert critical_value(TriangularDistribution(2, 4, 5), q) == pytest.approx(
             11 / 3, abs=1e-12
         )
 
     def test_symmetric_trapezoid_expected(self):
-        q = CriticalValueQuery.expected()
+        q = ReductionCriterion.expected()
         assert critical_value(TrapezoidalDistribution(2, 4, 6, 8), q) == pytest.approx(
             5.0, abs=1e-12
         )
 
     def test_triangular_optimistic(self):
         tri = TriangularDistribution(2, 4, 5)
-        value = critical_value(tri, CriticalValueQuery.optimistic(2 / 3))
+        value = critical_value(tri, ReductionCriterion.optimistic(2 / 3))
         assert value == pytest.approx(2 + math.sqrt(2), abs=1e-12)
         assert 1 - tri.cdf(value) == pytest.approx(2 / 3, abs=1e-12)
 
     def test_linear_closed_forms(self):
         lin = LinearDistribution(1.0, 9.0)
         alpha = 0.3
-        assert critical_value(lin, CriticalValueQuery.optimistic(alpha)) == pytest.approx(
+        assert critical_value(lin, ReductionCriterion.optimistic(alpha)) == pytest.approx(
             alpha * 1.0 + (1 - alpha) * 9.0, abs=1e-12
         )
-        assert critical_value(lin, CriticalValueQuery.pessimistic(alpha)) == pytest.approx(
+        assert critical_value(lin, ReductionCriterion.pessimistic(alpha)) == pytest.approx(
             (1 - alpha) * 1.0 + alpha * 9.0, abs=1e-12
         )
-        assert critical_value(lin, CriticalValueQuery.expected()) == pytest.approx(5.0)
+        assert critical_value(lin, ReductionCriterion.expected()) == pytest.approx(5.0)
 
     def test_closed_forms_agree_with_generic_inverse(self):
         rng = np.random.default_rng(33)
@@ -199,8 +205,8 @@ class TestCriticalValues:
                 ud = random_family(rng, family)
                 pw = as_piecewise(ud)
                 alpha = rng.uniform(0.02, 0.98)
-                opt = CriticalValueQuery.optimistic(alpha)
-                pess = CriticalValueQuery.pessimistic(alpha)
+                opt = ReductionCriterion.optimistic(alpha)
+                pess = ReductionCriterion.pessimistic(alpha)
                 assert critical_value(ud, opt) == pytest.approx(
                     pw.inverse(1 - alpha), abs=1e-10
                 )
@@ -210,13 +216,13 @@ class TestCriticalValues:
 
     def test_query_validation(self):
         with pytest.raises(AlphaOutOfRange):
-            CriticalValueQuery.optimistic(0.0)
+            ReductionCriterion.optimistic(0.0)
         with pytest.raises(AlphaOutOfRange):
-            CriticalValueQuery.pessimistic(1.0)
+            ReductionCriterion.pessimistic(1.0)
         with pytest.raises(ValueError):
-            CriticalValueQuery("expected", 0.5)
+            ReductionCriterion("expected", 0.5)
         with pytest.raises(ValueError):
-            CriticalValueQuery("median", 0.5)
+            ReductionCriterion("median", 0.5)
 
 
 class TestExpectedValue:
@@ -252,7 +258,7 @@ class TestExpectedValue:
         for family in ("linear", "triangular", "trapezoidal"):
             for _ in range(100):
                 ud = random_family(rng, family)
-                closed = critical_value(ud, CriticalValueQuery.expected())
+                closed = critical_value(ud, ReductionCriterion.expected())
                 assert expected_value(ud, "analytic") == pytest.approx(closed, abs=1e-10)
                 assert expected_value(ud, "simpson") == pytest.approx(closed, abs=1e-8)
 
@@ -267,7 +273,7 @@ class TestExpectedValue:
         # (gamma - 0.4)/0.3 on [0.7, 1): E = 0.15 + 0.4 + 0.45 = 1
         pw = PiecewiseDistribution(
             (0.0, 1.0, 2.0),
-            (AffineSegment(0.0, 0.3), AffineSegment(0.4, 0.3)),
+            (ramp(0.0, 0.3), ramp(0.4, 0.3)),
         )
         assert pw.expected_value() == pytest.approx(1.0, abs=1e-12)
         assert pw.expected_by_quadrature() == pytest.approx(1.0, abs=1e-7)
@@ -303,10 +309,52 @@ class TestRegularity:
     def test_fabricated_decreasing_segment_flagged(self):
         broken = PiecewiseDistribution(
             (0.0, 1.0, 2.0),
-            (AffineSegment(0.0, 0.8), AffineSegment(1.6, -0.4)),
+            (ramp(0.0, 0.8), ramp(1.6, -0.4)),
         )
         report = check_regularity(broken)
         assert not report.passed
         assert report.violations
         # per-grid-step decrease: slope 0.4 over a step of 4/9999
         assert report.max_decrease > 1e-5
+
+    @pytest.mark.parametrize("bad", [1, 0, -3])
+    def test_grid_needs_two_points(self, bad):
+        with pytest.raises(ValueError, match="grid_points"):
+            check_regularity(TriangularDistribution(2, 4, 5), grid_points=bad)
+
+    def test_two_point_grid_samples_the_widened_support(self):
+        report = check_regularity(TriangularDistribution(2, 4, 5), grid_points=2)
+        assert report.passed and report.grid_points == 2
+        assert report.max_decrease == 0.0 and report.violations == ()
+
+    def test_matches_pointwise_loop(self):
+        # the report from the array sampling equals a scalar loop's, exactly
+        wavy = PiecewiseDistribution(
+            (0.0, 1.0, 2.0, 3.0),
+            (ramp(0.0, 0.5), (0.9, 0.0, -0.3, 1.0), ramp(-0.2, 0.4)),
+        )
+        for ud in (wavy, TrapezoidalDistribution(2, 4, 6, 8)):
+            pw = as_piecewise(ud)
+            lo, hi = pw.support
+            n = 500
+            step = (hi + 1.0 - (lo - 1.0)) / (n - 1)
+            xs = [lo - 1.0 + i * step for i in range(n)]
+            drops = [pw.cdf(x0) - pw.cdf(x1) for x0, x1 in zip(xs, xs[1:])]
+            report = check_regularity(ud, grid_points=n, max_reported=4)
+            expected = [(x0, x1, d) for x0, x1, d in zip(xs, xs[1:], drops) if d > 1e-12]
+            assert report.violations == tuple(expected[:4])
+            assert report.passed == (not expected)
+            assert report.max_decrease == max([0.0] + drops)
+            assert report.value_at_lower == pw.cdf(lo)
+            assert report.value_at_upper == pw.cdf(hi)
+
+    def test_report_fields_are_python_floats(self):
+        broken = PiecewiseDistribution(
+            (0.0, 1.0, 2.0),
+            (ramp(0.0, 0.8), ramp(1.6, -0.4)),
+        )
+        report = check_regularity(broken, grid_points=50, max_reported=3)
+        assert len(report.violations) == 3
+        values = [report.max_decrease, report.value_at_lower, report.value_at_upper]
+        values += [v for violation in report.violations for v in violation]
+        assert all(type(v) is float for v in values)

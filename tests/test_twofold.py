@@ -1,5 +1,7 @@
 """Two-fold variables: surface evaluation, reduction and reduced inverses."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,33 @@ class TestSurface:
                         assert point.upper - point.lower < 1e-6
 
 
+    def test_envelope_valid_next_to_breakpoints(self):
+        # rounding near a vanishing band or at theta = 1 must not push an
+        # edge past 0, 1 or the other edge
+        cases = [
+            TwoFoldVariable.trapezoidal(
+                -7.556490986205394, -0.3227924606303656, 10.128762985830399,
+                59.95668699741434, 0.6701954542603246, 0.8873309914848851,
+            ),
+            TwoFoldVariable.triangular(-5.570143213675207, 24.23631203758128,
+                                       43.43100335384193, 1.0, 0.0),
+            TwoFoldVariable.trapezoidal(2, 4, 6, 8, 1.0, 1.0),
+        ]
+        for tf in cases:
+            reduced = reduce_twofold(tf, ReductionCriterion.expected())
+            for bp in reduced.breakpoints:
+                x = bp
+                for _ in range(6):
+                    x = math.nextafter(x, -math.inf)
+                    point = surface_at(tf, x)
+                    assert 0.0 <= point.lower <= point.upper <= 1.0
+                x = bp
+                for _ in range(6):
+                    x = math.nextafter(x, math.inf)
+                    point = surface_at(tf, x)
+                    assert 0.0 <= point.lower <= point.upper <= 1.0
+
+
 class TestTwoFoldCdf:
     def test_above_band_is_one(self):
         point = surface_at(TRI_EXAMPLE, 3.0)
@@ -139,8 +168,9 @@ class TestReduce:
                 ReductionCriterion.pessimistic(0.81),
             ):
                 reduced = reduce_twofold(tf, criterion)
-                for x in np.linspace(lo - 1, hi + 1, 500):
-                    assert reduced.cdf(x) == pytest.approx(base.cdf(x), abs=1e-12)
+                xs = np.linspace(lo - 1, hi + 1, 500)
+                native = [base.cdf(x) for x in xs]
+                assert reduced.cdf(xs) == pytest.approx(native, abs=1e-12)
 
     def test_expected_reduction_spot_values(self):
         reduced = reduce_twofold(TRI_EXAMPLE, ReductionCriterion.expected())
@@ -166,8 +196,7 @@ class TestReduce:
             oracle = reduced_cdf_oracle(
                 tf.family, tf.params, tf.theta_l, tf.theta_r, kind, alpha, xs
             )
-            got = np.array([reduced.cdf(x) for x in xs])
-            np.testing.assert_allclose(got, oracle, atol=1e-12)
+            np.testing.assert_allclose(reduced.cdf(xs), oracle, atol=1e-12)
 
     def test_pessimistic_equals_optimistic_mirrored(self):
         rng = np.random.default_rng(17)
@@ -177,8 +206,8 @@ class TestReduce:
             pess = reduce_twofold(tf, ReductionCriterion.pessimistic(alpha))
             opt = reduce_twofold(tf, ReductionCriterion.optimistic(1.0 - alpha))
             lo, hi = tf.support
-            for x in np.linspace(lo, hi, 400):
-                assert pess.cdf(x) == pytest.approx(opt.cdf(x), abs=1e-12)
+            xs = np.linspace(lo, hi, 400)
+            assert pess.cdf(xs) == pytest.approx(opt.cdf(xs), abs=1e-12)
 
     def test_expected_equals_optimistic_at_half(self):
         rng = np.random.default_rng(19)
@@ -187,8 +216,8 @@ class TestReduce:
             expected = reduce_twofold(tf, ReductionCriterion.expected())
             half = reduce_twofold(tf, ReductionCriterion.optimistic(0.5))
             lo, hi = tf.support
-            for x in np.linspace(lo, hi, 400):
-                assert expected.cdf(x) == pytest.approx(half.cdf(x), abs=1e-12)
+            xs = np.linspace(lo, hi, 400)
+            assert expected.cdf(xs) == pytest.approx(half.cdf(xs), abs=1e-12)
 
     def test_vanishing_multiplier_reproduces_base(self):
         rng = np.random.default_rng(23)
@@ -206,8 +235,9 @@ class TestReduce:
             reduced = reduce_twofold(tf, criterion)
             base = tf.base_distribution()
             lo, hi = tf.support
-            for x in np.linspace(lo, hi, 300):
-                assert reduced.cdf(x) == pytest.approx(base.cdf(x), abs=1e-12)
+            xs = np.linspace(lo, hi, 300)
+            native = [base.cdf(x) for x in xs]
+            assert reduced.cdf(xs) == pytest.approx(native, abs=1e-12)
 
     def test_worked_example_reduction_is_regular(self):
         reduced = reduce_twofold(TRI_EXAMPLE, ReductionCriterion.optimistic(0.9))
@@ -238,6 +268,29 @@ class TestReduce:
                 assert right == pytest.approx(reduced.cdf(x), abs=1e-9)
 
 
+    def test_array_cdf_equals_scalar_cdf(self):
+        rng = np.random.default_rng(37)
+        for family in ("triangular", "trapezoidal"):
+            for _ in range(10):
+                tf = random_twofold(rng, family)
+                alpha = float(rng.uniform(0.02, 0.98))
+                for criterion in (
+                    ReductionCriterion.expected(),
+                    ReductionCriterion.optimistic(alpha),
+                    ReductionCriterion.pessimistic(alpha),
+                ):
+                    reduced = reduce_twofold(tf, criterion)
+                    lo, hi = reduced.support
+                    xs = np.concatenate(
+                        [np.linspace(lo - 1, hi + 1, 301), reduced.breakpoints]
+                    )
+                    values = reduced.cdf(xs)
+                    assert isinstance(values, np.ndarray)
+                    scalars = [reduced.cdf(float(x)) for x in xs]
+                    assert all(type(v) is float for v in scalars)
+                    assert values.tolist() == scalars
+
+
 class TestReducedInverse:
     def test_expected_inverse_hits_mode(self):
         tf = TwoFoldVariable.triangular(6, 8, 9, 0.5, 0.7)
@@ -262,10 +315,9 @@ class TestReducedInverse:
             tf = random_twofold(rng)
             criterion = ReductionCriterion.optimistic(float(rng.uniform(0.05, 0.95)))
             reduced = reduce_twofold(tf, criterion)
-            for gamma in np.linspace(0.01, 0.99, 40):
-                assert reduced.cdf(reduced.inverse(gamma)) == pytest.approx(
-                    gamma, abs=1e-9
-                )
+            gammas = np.linspace(0.01, 0.99, 40)
+            inverses = [reduced.inverse(gamma) for gamma in gammas]
+            assert reduced.cdf(inverses) == pytest.approx(gammas, abs=1e-9)
 
     def test_gamma_validation(self):
         with pytest.raises(AlphaOutOfRange):
