@@ -13,18 +13,26 @@ deterministic posynomial GP:
   distribution at gamma.
 
 The deterministic program is solved by the dual method and the optimal
-point, dual weights and expected objective are reported; a sweep
-evaluates a whole grid of confidence levels, reusing the gamma-free
-objective coefficients.
+point, dual weights and expected objective are reported.  A sweep solves
+a whole grid of confidence levels as one batch.  Once per sweep: the
+reduction, the objective coefficients and the dual structure, which
+depends on the exponents alone (at degree of difficulty zero that fixes
+the dual weights for every row; otherwise the phase-I point and null
+space that start Newton).  Per row: the constraint inverses at gamma and
+the gamma-dependent part of the pipeline -- Newton when the degree of
+difficulty is positive, the dual value, one shared least-squares
+recovery and verification.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .distributions import PiecewiseDistribution
 from .errors import AlphaOutOfRange
-from .gp import DeterministicGP, Posynomial, solve_gp
+from .gp import DeterministicGP, DualStructure, Posynomial
 from .twofold import ReductionCriterion, TwoFoldVariable, reduce_twofold
 
 __all__ = [
@@ -80,10 +88,12 @@ class ChanceConfig:
     )
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.gamma < 1.0:
-            raise AlphaOutOfRange(
-                f"gamma must lie strictly inside (0, 1), got {self.gamma!r}"
-            )
+        _check_gamma(self.gamma)
+
+
+def _check_gamma(gamma: float) -> None:
+    if not 0.0 < gamma < 1.0:
+        raise AlphaOutOfRange(f"gamma must lie strictly inside (0, 1), got {gamma!r}")
 
 
 @dataclass(frozen=True)
@@ -134,24 +144,17 @@ def _objective_posynomial(reduced: ReducedGPProblem) -> Posynomial:
     )
 
 
-def _constraint_posynomials(
+def _constraint_coefficients(
     reduced: ReducedGPProblem, gamma: float
-) -> tuple[Posynomial, ...]:
-    if not 0.0 < gamma < 1.0:
-        raise AlphaOutOfRange(
-            f"gamma must lie strictly inside (0, 1), got {gamma!r}"
-        )
-    constraints = []
+) -> list[tuple[float, ...]]:
+    """Per constraint block, the reduced inverses at gamma."""
+    _check_gamma(gamma)
+    coefficients = []
     for block in reduced.constraints:
         for ud, _ in block:
             _require_positive_support(ud)
-        constraints.append(
-            Posynomial(
-                coefficients=tuple(ud.inverse(gamma) for ud, _ in block),
-                exponents=tuple(exps for _, exps in block),
-            )
-        )
-    return tuple(constraints)
+        coefficients.append(tuple(ud.inverse(gamma) for ud, _ in block))
+    return coefficients
 
 
 def deterministic_form(
@@ -167,7 +170,12 @@ def deterministic_form(
     """
     return DeterministicGP(
         objective=_objective_posynomial(reduced),
-        constraints=_constraint_posynomials(reduced, gamma),
+        constraints=tuple(
+            Posynomial(coefficients, tuple(exps for _, exps in block))
+            for coefficients, block in zip(
+                _constraint_coefficients(reduced, gamma), reduced.constraints
+            )
+        ),
     )
 
 
@@ -191,25 +199,63 @@ class FailedRow:
     message: str
 
 
-def _solve_row(
-    objective: Posynomial, reduced: ReducedGPProblem, gamma: float
-) -> SweepRow:
-    gp = DeterministicGP(
-        objective=objective, constraints=_constraint_posynomials(reduced, gamma)
+def _dual_structure(reduced: ReducedGPProblem) -> DualStructure:
+    """The dual structure shared by every gamma: terms in build_dual order."""
+    blocks = (reduced.objective, *reduced.constraints)
+    exponents = [exps for block in blocks for _, exps in block]
+    return DualStructure(
+        exponent_matrix=np.asarray(exponents, dtype=float).reshape(
+            len(exponents), reduced.n_variables
+        ),
+        term_blocks=np.repeat(np.arange(len(blocks)), [len(b) for b in blocks]),
+        n_constraints=len(reduced.constraints),
     )
-    solution = solve_gp(gp)
-    return SweepRow(
-        gamma=gamma,
-        x_star=solution.primal_x,
-        delta_star=solution.delta,
-        expected_objective=solution.diagnostics.primal_objective,
-    )
+
+
+def _solve_grid(
+    reduced: ReducedGPProblem, gammas: list[float]
+) -> list[SweepRow | ValueError | RuntimeError]:
+    """One outcome per gamma, in order: a row or the error it raised.
+
+    An objective coefficient whose support touches zero fails the whole
+    grid and is raised.  Invalid gammas and constraint coefficients that
+    touch zero fail their rows before any solve; the remaining rows are
+    solved as one batch on a single dual structure.
+    """
+    objective = _objective_posynomial(reduced)
+    outcomes: list = []
+    solved: list[int] = []
+    coefficients: list[tuple[float, ...]] = []
+    for i, gamma in enumerate(gammas):
+        try:
+            blocks = _constraint_coefficients(reduced, gamma)
+        except ValueError as exc:
+            outcomes.append(exc)
+            continue
+        outcomes.append(None)
+        solved.append(i)
+        coefficients.append(objective.coefficients + sum(blocks, ()))
+    solutions = _dual_structure(reduced).solve(coefficients)
+    for i, solution in zip(solved, solutions):
+        if isinstance(solution, Exception):
+            outcomes[i] = solution
+        else:
+            outcomes[i] = SweepRow(
+                gamma=gammas[i],
+                x_star=solution.primal_x,
+                delta_star=solution.delta,
+                expected_objective=solution.diagnostics.primal_objective,
+            )
+    return outcomes
 
 
 def solve_chance(problem: UncertainGPProblem, config: ChanceConfig) -> SweepRow:
     """Reduce, transform at config.gamma, solve by the dual method."""
     reduced = reduce_problem(problem, config.reduction)
-    return _solve_row(_objective_posynomial(reduced), reduced, config.gamma)
+    (outcome,) = _solve_grid(reduced, [config.gamma])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def sweep(
@@ -219,19 +265,16 @@ def sweep(
 ) -> list[SweepRow | FailedRow]:
     """Solve one row per confidence level, in input order.
 
-    The reduction and the gamma-free objective coefficients are computed
-    once.  A failing level produces a FailedRow instead of aborting the
-    whole sweep.
+    The reduction, the gamma-free objective coefficients and the dual
+    structure are computed once, and all rows are solved as one batch.
+    A failing level produces a FailedRow instead of aborting the whole
+    sweep.
     """
     criterion = criterion if criterion is not None else ReductionCriterion.expected()
     reduced = reduce_problem(problem, criterion)
-    objective = _objective_posynomial(reduced)
-    rows: list[SweepRow | FailedRow] = []
-    for gamma in gammas:
-        try:
-            rows.append(_solve_row(objective, reduced, gamma))
-        except (ValueError, RuntimeError) as exc:
-            rows.append(
-                FailedRow(gamma=gamma, error=type(exc).__name__, message=str(exc))
-            )
-    return rows
+    return [
+        FailedRow(gamma=gamma, error=type(outcome).__name__, message=str(outcome))
+        if isinstance(outcome, Exception)
+        else outcome
+        for gamma, outcome in zip(gammas, _solve_grid(reduced, gammas))
+    ]

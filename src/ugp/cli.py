@@ -44,6 +44,7 @@ from .errors import (
     DegreeOfDifficultyNegative,
     InfeasibleDual,
     NonConvergence,
+    NumericalRangeError,
     ProblemFormatError,
     QuadratureNonConvergence,
     RankDeficient,
@@ -437,6 +438,7 @@ _ERROR_BY_NAME = {
         InfeasibleDual,
         NonConvergence,
         RankDeficient,
+        NumericalRangeError,
         ValueError,
     )
 }

@@ -32,5 +32,10 @@ class RankDeficient(RuntimeError):
     """The stacked exponent system for primal recovery has rank < n."""
 
 
+class NumericalRangeError(ValueError):
+    """A solve's dual value, x* or objective overflowed or underflowed the
+    positive finite double-precision range."""
+
+
 class ProblemFormatError(ValueError):
     """A problem file does not conform to the expected schema."""

@@ -17,21 +17,28 @@ block k.  log V is concave, so:
 
 The primal minimizer is recovered from the log-linear stationarity
 relations linking delta, the dual value and the exponents.
+
+Everything that depends only on the exponents -- the conditions, the
+degree-zero weights, the Newton start, the recovery rank checks -- lives
+in a DualStructure, which solves any number of coefficient rows in one
+batch; solve_gp is a batch of one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import null_space
 from scipy.optimize import linprog
+from scipy.special import xlogy
 
 from .errors import (
     DegreeOfDifficultyNegative,
     InfeasibleDual,
     NonConvergence,
+    NumericalRangeError,
     RankDeficient,
 )
 
@@ -40,6 +47,7 @@ __all__ = [
     "DeterministicGP",
     "DualProblem",
     "DualSolution",
+    "DualStructure",
     "GPDiagnostics",
     "degree_of_difficulty",
     "build_dual",
@@ -138,15 +146,7 @@ class DualProblem:
 
     def condition_matrix(self) -> tuple[np.ndarray, np.ndarray]:
         """Normality row plus n orthogonality rows, with right-hand side."""
-        rows = np.vstack(
-            [
-                (self.term_blocks == 0).astype(float),
-                self.exponent_matrix.T,
-            ]
-        )
-        rhs = np.zeros(self.n_variables + 1)
-        rhs[0] = 1.0
-        return rows, rhs
+        return _condition_matrix(self.exponent_matrix, self.term_blocks)
 
     def block_totals(self, delta: np.ndarray) -> np.ndarray:
         """lambda_k = sum of weights in block k, for k = 0..K."""
@@ -164,6 +164,15 @@ class DualProblem:
             if lam > 0.0:
                 total += lam * math.log(lam)
         return total
+
+
+def _condition_matrix(
+    exponent_matrix: np.ndarray, term_blocks: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    rows = np.vstack([(term_blocks == 0).astype(float), exponent_matrix.T])
+    rhs = np.zeros(exponent_matrix.shape[1] + 1)
+    rhs[0] = 1.0
+    return rows, rhs
 
 
 def build_dual(gp: DeterministicGP) -> DualProblem:
@@ -240,57 +249,11 @@ def _feasible_interior_point(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return res.x[:-1]
 
 
-def solve_dual(dual: DualProblem) -> DualSolution:
-    """Maximize V(delta) over the dual feasible set.
-
-    Degree-of-difficulty zero with a nonsingular condition matrix is
-    solved by one linear solve; a negative exact solution is reported as
-    InfeasibleDual rather than projected.  Otherwise the feasible affine
-    set is parametrized by its null space and log V (concave) is
-    maximized by damped Newton with backtracking, converging when the
-    reduced gradient norm drops to 1e-9.
-    """
-    N, n = dual.n_terms, dual.n_variables
-    if N < n + 1:
-        raise DegreeOfDifficultyNegative(
-            f"{N} dual variables cannot satisfy {n + 1} conditions; "
-            "the dual method needs N >= n + 1"
-        )
-    A, rhs = dual.condition_matrix()
-
-    delta: np.ndarray | None = None
-    if N == n + 1:
-        try:
-            candidate = np.linalg.solve(A, rhs)
-        except np.linalg.LinAlgError:
-            candidate = None
-        if candidate is not None and np.max(np.abs(A @ candidate - rhs)) > 1e-9:
-            candidate = None  # numerically singular: use the general path
-        if candidate is not None:
-            if np.any(candidate < 0.0):
-                raise InfeasibleDual(
-                    "the unique solution of the dual conditions has negative "
-                    "components"
-                )
-            delta = candidate
-
-    if delta is None:
-        delta = _newton_max_log_value(dual, A, rhs)
-
-    lam = dual.block_totals(delta)
-    lam[0] = 1.0
-    return DualSolution(
-        delta=tuple(float(d) for d in delta),
-        lam=tuple(float(v) for v in lam),
-        dual_value=math.exp(dual.log_value(delta)),
-    )
-
-
 def _newton_max_log_value(
-    dual: DualProblem, A: np.ndarray, rhs: np.ndarray
+    dual: DualProblem, start: np.ndarray, basis: np.ndarray
 ) -> np.ndarray:
-    delta = _feasible_interior_point(A, rhs)
-    basis = null_space(A)
+    """Damped Newton on log V over start + span(basis), start strictly positive."""
+    delta = start
     if basis.shape[1] == 0:
         return delta  # conditions pin delta down; nothing to optimize
 
@@ -348,28 +311,288 @@ def _newton_max_log_value(
     )
 
 
-def _recovery_rows(
-    gp: DeterministicGP, sol: DualSolution
-) -> tuple[np.ndarray, np.ndarray]:
-    rows: list[tuple[float, ...]] = []
-    rhs: list[float] = []
-    for coeff, exps, d in zip(
-        gp.objective.coefficients, gp.objective.exponents, sol.delta
-    ):
-        if d > _DELTA_DROP:
-            rows.append(exps)
-            rhs.append(math.log(d * sol.dual_value / coeff))
-    offset = gp.objective.n_terms
-    for k, constraint in enumerate(gp.constraints, start=1):
-        lam_k = sol.lam[k]
-        for coeff, exps in zip(constraint.coefficients, constraint.exponents):
-            d = sol.delta[offset]
-            offset += 1
-            if lam_k > _DELTA_DROP and d > _DELTA_DROP:
-                rows.append(exps)
-                rhs.append(math.log(d / (lam_k * coeff)))
-    matrix = np.asarray(rows, dtype=float).reshape(len(rows), gp.n_variables)
-    return matrix, np.asarray(rhs, dtype=float)
+class DualStructure:
+    """The exponent-only part of a GP's dual, shared by every coefficient row.
+
+    Normality and orthogonality involve only the exponents and the block
+    map, so every GP with the same exponents -- each row of a gamma sweep --
+    shares this work:
+
+    * the condition matrix and its right-hand side;
+    * at degree of difficulty zero, the exact weights, or the verdict that
+      the dual method cannot proceed (too few terms, negative weights);
+    * otherwise the phase-I interior point and the null-space basis that
+      start each row's Newton iteration, computed on first use;
+    * for each recovery active set, the thin SVD of its exponent rows,
+      which is both the rank check and the least-squares solve.
+
+    A structure lives for one solve or sweep.  :meth:`solve` takes one
+    coefficient row per GP (terms in :func:`build_dual` order) and runs the
+    whole pipeline on all rows at once: dual weights, log V, primal
+    recovery by one multi-right-hand-side least-squares solve per active
+    set, and verification.
+    """
+
+    def __init__(
+        self, exponent_matrix: np.ndarray, term_blocks: np.ndarray, n_constraints: int
+    ) -> None:
+        self.exponent_matrix = np.asarray(exponent_matrix, dtype=float)
+        self.term_blocks = np.asarray(term_blocks, dtype=int)
+        self.n_constraints = n_constraints
+        N, n = self.exponent_matrix.shape
+        self.A, self.rhs = _condition_matrix(self.exponent_matrix, self.term_blocks)
+        # (N, K + 1) 0/1 matrix: delta @ membership gives the block totals
+        self._membership = (
+            self.term_blocks[:, None] == np.arange(n_constraints + 1)
+        ).astype(float)
+        self._newton_start: tuple[np.ndarray, np.ndarray] | None = None
+        self._recovery: dict[bytes, tuple | RankDeficient] = {}
+        self._verdict: Exception | None = None
+        self._exact_delta: np.ndarray | None = None
+        if N < n + 1:
+            self._verdict = DegreeOfDifficultyNegative(
+                f"{N} dual variables cannot satisfy {n + 1} conditions; "
+                "the dual method needs N >= n + 1"
+            )
+        elif N == n + 1:
+            try:
+                candidate = np.linalg.solve(self.A, self.rhs)
+            except np.linalg.LinAlgError:
+                return  # singular: use the general path
+            if np.max(np.abs(self.A @ candidate - self.rhs)) > 1e-9:
+                return  # numerically singular: use the general path
+            if np.any(candidate < 0.0):
+                self._verdict = InfeasibleDual(
+                    "the unique solution of the dual conditions has negative "
+                    "components"
+                )
+            else:
+                self._exact_delta = candidate
+
+    @classmethod
+    def of(cls, dual: DualProblem) -> DualStructure:
+        return cls(dual.exponent_matrix, dual.term_blocks, dual.n_constraints)
+
+    @property
+    def n_terms(self) -> int:
+        return int(self.exponent_matrix.shape[0])
+
+    @property
+    def n_variables(self) -> int:
+        return int(self.exponent_matrix.shape[1])
+
+    def solve(self, coefficients: np.ndarray) -> list[DualSolution | Exception]:
+        """Solve one GP per coefficient row, in order.
+
+        Each outcome is a DualSolution carrying x* and diagnostics, or the
+        ValueError/RuntimeError that row raised: DegreeOfDifficultyNegative,
+        InfeasibleDual, NonConvergence, RankDeficient, or NumericalRangeError
+        when the dual value, x* or objective leaves the positive finite
+        floating-point range.
+        """
+        beta = np.asarray(coefficients, dtype=float).reshape(-1, self.n_terms)
+        outcomes: list[DualSolution | Exception | None] = [None] * len(beta)
+        delta = self._weights(beta, outcomes)
+        rows = [g for g, outcome in enumerate(outcomes) if outcome is None]
+        if not rows:
+            return outcomes
+        beta, delta = beta[rows], delta[rows]
+        with np.errstate(all="ignore"):
+            lam = delta @ self._membership
+            log_v = self._log_value(beta, delta, lam)
+            active, targets = self._recovery_system(beta, delta, lam, log_v)
+            log_x, failures = self._recover(active, targets)
+            x = np.exp(log_x)
+            dual_value = np.exp(log_v)
+            reports = self._verify(beta, delta, dual_value, x, active, targets)
+        for i, g in enumerate(rows):
+            values = (float(dual_value[i]), reports[i].primal_objective, *x[i].tolist())
+            if failures[i] is not None:
+                outcomes[g] = failures[i]
+            elif not all(0.0 < v < math.inf for v in values):
+                outcomes[g] = NumericalRangeError(
+                    "the solution leaves the double-precision range (overflow "
+                    "or underflow): dual value {:.6g}, objective {:.6g}, "
+                    "x* = ({})".format(*values[:2], ", ".join(map(str, values[2:])))
+                )
+            else:
+                outcomes[g] = DualSolution(
+                    delta=tuple(delta[i].tolist()),
+                    lam=(1.0, *lam[i, 1:].tolist()),
+                    dual_value=values[0],
+                    primal_x=values[2:],
+                    diagnostics=reports[i],
+                )
+        return outcomes
+
+    def _weights(self, beta: np.ndarray, outcomes: list) -> np.ndarray:
+        """Dual weights per row; a row that fails gets its exception in
+        outcomes and NaN weights."""
+        delta = np.full((len(beta), self.n_terms), np.nan)
+        if self._exact_delta is not None:
+            delta[:] = self._exact_delta
+            return delta
+        for g, row in enumerate(beta):
+            start = self._start()
+            if isinstance(start, Exception):
+                outcomes[g] = start
+                continue
+            dual = DualProblem(
+                row, self.exponent_matrix, self.term_blocks, self.n_constraints
+            )
+            try:
+                delta[g] = _newton_max_log_value(dual, *start)
+            except (ValueError, RuntimeError) as exc:
+                outcomes[g] = exc
+        return delta
+
+    def _start(self) -> tuple[np.ndarray, np.ndarray] | Exception:
+        """Newton's phase-I point and null-space basis, computed on first
+        use, or the verdict that no coefficient row can be solved."""
+        if self._verdict is None and self._newton_start is None:
+            try:
+                point = _feasible_interior_point(self.A, self.rhs)
+            except InfeasibleDual as exc:
+                self._verdict = exc
+            else:
+                self._newton_start = (point, null_space(self.A))
+        return self._verdict or self._newton_start
+
+    def _log_value(
+        self, beta: np.ndarray, delta: np.ndarray, lam: np.ndarray
+    ) -> np.ndarray:
+        """log V per row, with 0 log 0 = 0 and no quotient that can overflow."""
+        totals = lam[:, 1:]
+        return (xlogy(delta, beta) - xlogy(delta, delta)).sum(axis=1) + xlogy(
+            totals, totals
+        ).sum(axis=1)
+
+    def _recovery_system(
+        self, beta: np.ndarray, delta: np.ndarray, lam: np.ndarray, log_v: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Active-term mask and right-hand side of the log-linear recovery.
+
+        An objective term i with weight above the drop threshold gives
+        a_i . log x = log(delta_i V / beta_i); a term of constraint block k
+        gives a_i . log x = log(delta_i / (lambda_k beta_i)), kept only
+        while the block is active too.
+        """
+        in_objective = self.term_blocks == 0
+        lam_of_term = lam[:, self.term_blocks]
+        active = (delta > _DELTA_DROP) & (in_objective | (lam_of_term > _DELTA_DROP))
+        scale = np.where(in_objective, log_v[:, None], -np.log(lam_of_term))
+        return active, np.log(delta) - np.log(beta) + scale
+
+    def _recover(
+        self, active: np.ndarray, targets: np.ndarray
+    ) -> tuple[np.ndarray, list[RankDeficient | None]]:
+        """log x* per row, the least-squares solution of each row's active
+        recovery rows; rows whose active set is rank deficient get NaN and
+        the error."""
+        log_x = np.full((len(active), self.n_variables), np.nan)
+        failures: list[RankDeficient | None] = [None] * len(active)
+        groups: dict[bytes, list[int]] = {}
+        for i, mask in enumerate(active):
+            groups.setdefault(mask.tobytes(), []).append(i)
+        for members in groups.values():
+            mask = active[members[0]]
+            svd = self._recovery_svd(mask)
+            if isinstance(svd, RankDeficient):
+                for i in members:
+                    failures[i] = svd
+            else:
+                u, s, vt = svd
+                log_x[members] = (targets[np.ix_(members, mask)] @ u) / s @ vt
+        return log_x, failures
+
+    def _recovery_svd(
+        self, mask: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | RankDeficient:
+        """Thin SVD of an active set's exponent rows, or RankDeficient if
+        they cannot determine every variable.
+
+        One SVD gives both the rank (with numpy's matrix_rank tolerance)
+        and, at full column rank, the least-squares solution of every row
+        sharing the active set: log x = V diag(1/s) U^T rhs.
+        """
+        key = mask.tobytes()
+        if key not in self._recovery:
+            u, s, vt = np.linalg.svd(self.exponent_matrix[mask], full_matrices=False)
+            tol = s.max(initial=0.0) * max(int(mask.sum()), self.n_variables)
+            rank = int((s > tol * np.finfo(float).eps).sum())
+            if rank < self.n_variables:
+                self._recovery[key] = RankDeficient(
+                    f"active exponent rows have rank {rank} < {self.n_variables}"
+                )
+            else:
+                self._recovery[key] = (u, s, vt)
+        return self._recovery[key]
+
+    def _verify(
+        self,
+        beta: np.ndarray,
+        delta: np.ndarray,
+        dual_value: np.ndarray,
+        x: np.ndarray,
+        active: np.ndarray,
+        targets: np.ndarray,
+    ) -> list[GPDiagnostics]:
+        """Primal value, gap, constraint values and residuals per row."""
+        monomials = np.prod(x[:, None, :] ** self.exponent_matrix, axis=2)
+        values = (beta * monomials) @ self._membership
+        gaps = np.abs(values[:, 0] - dual_value) / dual_value
+        residual = np.where(active, np.log(x) @ self.exponent_matrix.T - targets, 0.0)
+        linear = np.sqrt((residual**2).sum(axis=1))
+        condition = np.max(np.abs(delta @ self.A.T - self.rhs), axis=1)
+        return [
+            GPDiagnostics(
+                primal_objective=row[0],
+                duality_gap_rel=gap,
+                constraint_values=tuple(row[1:]),
+                linear_residual=lin,
+                condition_residual=cond,
+                gap_exceeds=gap > 1e-6,
+                violated_constraints=tuple(
+                    k for k, v in enumerate(row[1:], start=1) if v > 1.0 + 1e-8
+                ),
+            )
+            for row, gap, lin, cond in zip(
+                values.tolist(), gaps.tolist(), linear.tolist(), condition.tolist()
+            )
+        ]
+
+
+def solve_dual(dual: DualProblem) -> DualSolution:
+    """Maximize V(delta) over the dual feasible set.
+
+    Degree-of-difficulty zero with a nonsingular condition matrix is
+    solved by one linear solve; a negative exact solution is reported as
+    InfeasibleDual rather than projected.  Otherwise the feasible affine
+    set is parametrized by its null space and log V (concave) is
+    maximized by damped Newton with backtracking, converging when the
+    reduced gradient norm drops to 1e-9.
+    """
+    structure = DualStructure.of(dual)
+    beta = dual.coefficients.reshape(1, -1)
+    outcomes: list = [None]
+    delta = structure._weights(beta, outcomes)
+    if outcomes[0] is not None:
+        raise outcomes[0]
+    with np.errstate(all="ignore"):
+        lam = delta @ structure._membership
+        log_v = structure._log_value(beta, delta, lam)
+    return DualSolution(
+        delta=tuple(delta[0].tolist()),
+        lam=(1.0, *lam[0, 1:].tolist()),
+        dual_value=float(np.exp(log_v[0])),
+    )
+
+
+def _solution_arrays(sol: DualSolution):
+    delta = np.asarray(sol.delta, dtype=float).reshape(1, -1)
+    lam = np.asarray(sol.lam, dtype=float).reshape(1, -1)
+    log_v = np.log(np.asarray([sol.dual_value], dtype=float))
+    return delta, lam, log_v
 
 
 def recover_primal(sol: DualSolution, gp: DeterministicGP) -> np.ndarray:
@@ -380,49 +603,40 @@ def recover_primal(sol: DualSolution, gp: DeterministicGP) -> np.ndarray:
     inactive constraint blocks are dropped.  RankDeficient is raised when
     the stacked exponent rows cannot determine every variable.
     """
-    matrix, rhs = _recovery_rows(gp, sol)
-    if np.linalg.matrix_rank(matrix) < gp.n_variables:
-        raise RankDeficient(
-            "active exponent rows have rank "
-            f"{np.linalg.matrix_rank(matrix)} < {gp.n_variables}"
+    dual = build_dual(gp)
+    structure = DualStructure.of(dual)
+    with np.errstate(all="ignore"):
+        active, targets = structure._recovery_system(
+            dual.coefficients.reshape(1, -1), *_solution_arrays(sol)
         )
-    log_x = np.linalg.lstsq(matrix, rhs, rcond=None)[0]
-    return np.exp(log_x)
+        log_x, (failure,) = structure._recover(active, targets)
+    if failure is not None:
+        raise failure
+    return np.exp(log_x[0])
 
 
 def verify_solution(gp: DeterministicGP, sol: DualSolution) -> GPDiagnostics:
     """Primal value, relative duality gap, constraint values and residuals."""
     if sol.primal_x is None:
         raise ValueError("solution carries no primal point to verify")
-    x = np.asarray(sol.primal_x, dtype=float)
-    primal = gp.objective.value(x)
-    gap = abs(primal - sol.dual_value) / sol.dual_value
-    constraint_values = tuple(block.value(x) for block in gp.constraints)
-
-    matrix, rhs = _recovery_rows(gp, sol)
-    linear_residual = float(
-        np.linalg.norm(matrix @ np.log(x) - rhs) if matrix.size else 0.0
-    )
-    A, b = build_dual(gp).condition_matrix()
-    condition_residual = float(
-        np.max(np.abs(A @ np.asarray(sol.delta) - b))
-    )
-    return GPDiagnostics(
-        primal_objective=float(primal),
-        duality_gap_rel=float(gap),
-        constraint_values=constraint_values,
-        linear_residual=linear_residual,
-        condition_residual=condition_residual,
-        gap_exceeds=bool(gap > 1e-6),
-        violated_constraints=tuple(
-            k for k, v in enumerate(constraint_values, start=1) if v > 1.0 + 1e-8
-        ),
-    )
+    dual = build_dual(gp)
+    structure = DualStructure.of(dual)
+    beta = dual.coefficients.reshape(1, -1)
+    delta, lam, log_v = _solution_arrays(sol)
+    x = np.asarray(sol.primal_x, dtype=float).reshape(1, -1)
+    with np.errstate(all="ignore"):
+        active, targets = structure._recovery_system(beta, delta, lam, log_v)
+        (report,) = structure._verify(
+            beta, delta, np.asarray([sol.dual_value]), x, active, targets
+        )
+    return report
 
 
 def solve_gp(gp: DeterministicGP) -> DualSolution:
-    """Full pipeline: dual construction, dual solve, recovery, verification."""
-    sol = solve_dual(build_dual(gp))
-    x = recover_primal(sol, gp)
-    sol = replace(sol, primal_x=tuple(float(v) for v in x))
-    return replace(sol, diagnostics=verify_solution(gp, sol))
+    """Full pipeline -- dual weights, recovery, verification -- as a batch
+    of one on the GP's own DualStructure."""
+    dual = build_dual(gp)
+    (outcome,) = DualStructure.of(dual).solve(dual.coefficients)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome

@@ -122,7 +122,36 @@ class TestProblemFiles:
         assert "rank" not in message  # the solver is never reached
 
 
+# min x + 1/x with both coefficients near 1.2e308: the optimum 2.4e308
+# overflows double precision
+OVERFLOWING = {
+    "variables": ["x"],
+    "objective": [
+        {
+            "family": "tri",
+            "params": [1e308, 1.2e308, 1.4e308],
+            "theta_l": 0.5,
+            "theta_r": 0.5,
+            "exponents": {"x": power},
+        }
+        for power in (1, -1)
+    ],
+    "constraints": [],
+}
+
+
 class TestExitCodes:
+    def test_overflowing_solution_is_a_domain_error(self, tmp_path, capsys):
+        path = write_problem(tmp_path / "p.json", OVERFLOWING)
+        out = tmp_path / "sweep.csv"
+        assert main(["solve", path, "--gamma", "0.5"]) == EXIT_DOMAIN
+        assert "overflow" in capsys.readouterr().err
+        assert main(["sweep", path, "--gammas", "0.3,0.5", "-o", str(out)]) == EXIT_DOMAIN
+        assert "overflow" in capsys.readouterr().err
+        failed = [row[0] for row in read_csv(out)[1:]]
+        assert len(failed) == 2
+        assert all("error=NumericalRangeError" in line for line in failed)
+
     def test_parse_error_exit(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("[]", encoding="utf-8")
