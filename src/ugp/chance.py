@@ -30,9 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import PiecewiseDistribution
-from .errors import AlphaOutOfRange
-from .gp import DeterministicGP, DualStructure, Posynomial
+from .distributions import PiecewiseDistribution, _require_alpha_open
+from .gp import DeterministicGP, DualStructure, GPDiagnostics, Posynomial
 from .twofold import ReductionCriterion, TwoFoldVariable, reduce_twofold
 
 __all__ = [
@@ -88,12 +87,7 @@ class ChanceConfig:
     )
 
     def __post_init__(self) -> None:
-        _check_gamma(self.gamma)
-
-
-def _check_gamma(gamma: float) -> None:
-    if not 0.0 < gamma < 1.0:
-        raise AlphaOutOfRange(f"gamma must lie strictly inside (0, 1), got {gamma!r}")
+        _require_alpha_open(self.gamma, "gamma")
 
 
 @dataclass(frozen=True)
@@ -148,7 +142,7 @@ def _constraint_coefficients(
     reduced: ReducedGPProblem, gamma: float
 ) -> list[tuple[float, ...]]:
     """Per constraint block, the reduced inverses at gamma."""
-    _check_gamma(gamma)
+    _require_alpha_open(gamma, "gamma")
     coefficients = []
     for block in reduced.constraints:
         for ud, _ in block:
@@ -181,22 +175,28 @@ def deterministic_form(
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One solved confidence level: the decision vector, the dual weights
-    and the expected objective value."""
+    """One solved confidence level: the decision vector, the dual weights,
+    the expected objective value and the solve's consistency report."""
 
     gamma: float
     x_star: tuple[float, ...]
     delta_star: tuple[float, ...]
     expected_objective: float
+    diagnostics: GPDiagnostics
 
 
 @dataclass(frozen=True)
 class FailedRow:
-    """A confidence level whose solve failed; sweeps keep going."""
+    """A confidence level whose solve failed; sweeps keep going.
+
+    ``error`` and ``message`` are the class name and text of
+    ``exception``, the instance the solve raised.
+    """
 
     gamma: float
     error: str
     message: str
+    exception: Exception = field(compare=False, repr=False)
 
 
 def _dual_structure(reduced: ReducedGPProblem) -> DualStructure:
@@ -245,6 +245,7 @@ def _solve_grid(
                 x_star=solution.primal_x,
                 delta_star=solution.delta,
                 expected_objective=solution.diagnostics.primal_objective,
+                diagnostics=solution.diagnostics,
             )
     return outcomes
 
@@ -273,7 +274,7 @@ def sweep(
     criterion = criterion if criterion is not None else ReductionCriterion.expected()
     reduced = reduce_problem(problem, criterion)
     return [
-        FailedRow(gamma=gamma, error=type(outcome).__name__, message=str(outcome))
+        FailedRow(gamma, type(outcome).__name__, str(outcome), outcome)
         if isinstance(outcome, Exception)
         else outcome
         for gamma, outcome in zip(gammas, _solve_grid(reduced, gammas))

@@ -14,10 +14,16 @@ record blocks; every term record carries ``family`` ("tri" or "tra"),
 ``params``, ``theta_l``, ``theta_r`` and an ``exponents`` map from
 variable name to real exponent.
 
-Exit codes: 0 success, 2 problem-file parse error, 3 domain error
-(invalid values, infeasible or rank-deficient model), 4 negative degree
-of difficulty, 5 solver non-convergence.  CSV output is deterministic:
-dot decimal separator, 17 significant digits, LF line endings.
+``solve`` is a sweep over one confidence level, so both commands run the
+same pipeline and fail the same way.  An error prints ``error: <message>``
+on stderr and exits with its class's ``exit_code`` (see :mod:`ugp.errors`):
+0 success, 2 problem-file parse error, 3 domain error (invalid values,
+infeasible or rank-deficient model, a solution outside the
+double-precision range, or any other ``ValueError``), 4 negative degree of
+difficulty, 5 solver non-convergence.  A sweep exits non-zero only when
+every row fails, with the code of its first failed row.  CSV output is
+deterministic: dot decimal separator, 17 significant digits, LF line
+endings.
 """
 
 from __future__ import annotations
@@ -30,34 +36,18 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from .chance import (
-    FailedRow,
-    SweepRow,
-    UncertainGPProblem,
-    UncertainTerm,
-    deterministic_form,
-    reduce_problem,
-    sweep,
-)
-from .errors import (
+from .chance import FailedRow, SweepRow, UncertainGPProblem, UncertainTerm, sweep
+from .errors import (  # the EXIT_* codes are also read from ugp.cli
+    EXIT_DOD,
+    EXIT_DOMAIN,
+    EXIT_NONCONVERGENCE,
+    EXIT_OK,
+    EXIT_PARSE,
     AlphaOutOfRange,
-    DegreeOfDifficultyNegative,
-    InfeasibleDual,
-    NonConvergence,
-    NumericalRangeError,
     ProblemFormatError,
-    QuadratureNonConvergence,
-    RankDeficient,
-    YOutOfRange,
+    UGPError,
 )
-from .gp import solve_gp
 from .twofold import ReductionCriterion, TwoFoldVariable, curve_samples
-
-EXIT_OK = 0
-EXIT_PARSE = 2
-EXIT_DOMAIN = 3
-EXIT_DOD = 4
-EXIT_NONCONVERGENCE = 5
 
 _FAMILIES = {"tri": "triangular", "tra": "trapezoidal"}
 
@@ -367,15 +357,15 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 def _cmd_solve(args: argparse.Namespace) -> int:
     _, problem = load_problem(args.file)
     criterion = _criterion_from_args(args)
-    solution = solve_gp(
-        deterministic_form(reduce_problem(problem, criterion), args.gamma)
-    )
-    diag = solution.diagnostics
+    (row,) = sweep(problem, [args.gamma], criterion)
+    if isinstance(row, FailedRow):
+        raise row.exception
+    diag = row.diagnostics
 
     print(f"gamma = {args.gamma:g}  (criterion: {criterion.kind})")
-    print("x* = (" + ", ".join(f"{v:.6f}" for v in solution.primal_x) + ")")
-    print("delta* = (" + ", ".join(f"{d:.6f}" for d in solution.delta) + ")")
-    print(f"expected objective = {diag.primal_objective:.6f}")
+    print("x* = (" + ", ".join(f"{v:.6f}" for v in row.x_star) + ")")
+    print("delta* = (" + ", ".join(f"{d:.6f}" for d in row.delta_star) + ")")
+    print(f"expected objective = {row.expected_objective:.6f}")
     print(f"duality gap (relative) = {diag.duality_gap_rel:.3e}")
     if diag.constraint_values:
         values = ", ".join(f"{v:.9f}" for v in diag.constraint_values)
@@ -383,12 +373,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     print(f"stationarity residual = {diag.linear_residual:.3e}")
 
     if args.output:
-        row = SweepRow(
-            gamma=args.gamma,
-            x_star=solution.primal_x,
-            delta_star=solution.delta,
-            expected_objective=diag.primal_objective,
-        )
         _write_csv(Path(args.output), _sweep_header(problem), _sweep_csv_rows([row]))
         print(f"wrote {args.output}")
     return EXIT_OK
@@ -407,7 +391,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     print(f"wrote {len(successes)}/{len(outcomes)} rows to {args.output}")
     if gammas and not successes:
         first = next(o for o in outcomes if isinstance(o, FailedRow))
-        raise _ERROR_BY_NAME.get(first.error, RuntimeError)(first.message)
+        raise first.exception
     return EXIT_OK
 
 
@@ -428,21 +412,6 @@ def _cmd_tables(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_ERROR_BY_NAME = {
-    cls.__name__: cls
-    for cls in (
-        AlphaOutOfRange,
-        YOutOfRange,
-        QuadratureNonConvergence,
-        DegreeOfDifficultyNegative,
-        InfeasibleDual,
-        NonConvergence,
-        RankDeficient,
-        NumericalRangeError,
-        ValueError,
-    )
-}
-
 _COMMANDS = {
     "reduce": _cmd_reduce,
     "solve": _cmd_solve,
@@ -455,26 +424,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ProblemFormatError as exc:
+    except (UGPError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except DegreeOfDifficultyNegative as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOD
-    except NonConvergence as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
-    except (
-        AlphaOutOfRange,
-        YOutOfRange,
-        QuadratureNonConvergence,
-        InfeasibleDual,
-        RankDeficient,
-        ValueError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-
+        return exc.exit_code if isinstance(exc, UGPError) else EXIT_DOMAIN
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -56,8 +56,8 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 
 
-def _require_alpha_open(alpha: float, name: str = "alpha") -> float:
-    if not (0.0 < alpha < 1.0):
+def _require_alpha_open(alpha: float | None, name: str = "alpha") -> float:
+    if alpha is None or not 0.0 < alpha < 1.0:
         raise AlphaOutOfRange(f"{name} must lie strictly inside (0, 1), got {alpha!r}")
     return float(alpha)
 
@@ -449,10 +449,7 @@ class ReductionCriterion:
             if self.alpha is not None:
                 raise ValueError("expected reduction takes no alpha")
         else:
-            if self.alpha is None or not (0.0 < self.alpha < 1.0):
-                raise AlphaOutOfRange(
-                    f"alpha must lie strictly inside (0, 1), got {self.alpha!r}"
-                )
+            _require_alpha_open(self.alpha)
 
     @classmethod
     def optimistic(cls, alpha: float) -> "ReductionCriterion":
@@ -486,7 +483,6 @@ def cdf(ud: Distribution, x: float) -> float:
 
 def inverse_cdf(ud: Distribution, gamma: float) -> float:
     """Generic inverse inf{x : cdf(x) >= gamma}; gamma must lie in (0, 1)."""
-    _require_alpha_open(gamma, "gamma")
     return as_piecewise(ud).inverse(gamma)
 
 

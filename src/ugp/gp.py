@@ -156,14 +156,16 @@ class DualProblem:
 
     def log_value(self, delta: np.ndarray) -> float:
         """log V(delta) with the continuous extension 0 * log(.) = 0."""
-        total = 0.0
-        for beta, d in zip(self.coefficients, delta):
-            if d > 0.0:
-                total += d * math.log(beta / d)
-        for lam in self.block_totals(delta)[1:]:
-            if lam > 0.0:
-                total += lam * math.log(lam)
-        return total
+        return float(_log_value(self.coefficients, delta, self.block_totals(delta)))
+
+
+def _log_value(beta: np.ndarray, delta: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """log V over the last axis, with 0 log 0 = 0 and no quotient that can
+    overflow; lam holds the block totals, objective block first."""
+    totals = lam[..., 1:]
+    return (xlogy(delta, beta) - xlogy(delta, delta)).sum(axis=-1) + xlogy(
+        totals, totals
+    ).sum(axis=-1)
 
 
 def _condition_matrix(
@@ -262,7 +264,7 @@ def _newton_max_log_value(
 
     def gradient(d: np.ndarray) -> np.ndarray:
         lam = dual.block_totals(d)
-        g = np.log(beta / d)
+        g = np.log(beta) - np.log(d)
         g[blocks == 0] -= 1.0
         constrained = blocks >= 1
         g[constrained] += np.log(lam[blocks[constrained]])
@@ -399,7 +401,7 @@ class DualStructure:
         beta, delta = beta[rows], delta[rows]
         with np.errstate(all="ignore"):
             lam = delta @ self._membership
-            log_v = self._log_value(beta, delta, lam)
+            log_v = _log_value(beta, delta, lam)
             active, targets = self._recovery_system(beta, delta, lam, log_v)
             log_x, failures = self._recover(active, targets)
             x = np.exp(log_x)
@@ -457,15 +459,6 @@ class DualStructure:
             else:
                 self._newton_start = (point, null_space(self.A))
         return self._verdict or self._newton_start
-
-    def _log_value(
-        self, beta: np.ndarray, delta: np.ndarray, lam: np.ndarray
-    ) -> np.ndarray:
-        """log V per row, with 0 log 0 = 0 and no quotient that can overflow."""
-        totals = lam[:, 1:]
-        return (xlogy(delta, beta) - xlogy(delta, delta)).sum(axis=1) + xlogy(
-            totals, totals
-        ).sum(axis=1)
 
     def _recovery_system(
         self, beta: np.ndarray, delta: np.ndarray, lam: np.ndarray, log_v: np.ndarray
@@ -580,7 +573,7 @@ def solve_dual(dual: DualProblem) -> DualSolution:
         raise outcomes[0]
     with np.errstate(all="ignore"):
         lam = delta @ structure._membership
-        log_v = structure._log_value(beta, delta, lam)
+        log_v = _log_value(beta, delta, lam)
     return DualSolution(
         delta=tuple(delta[0].tolist()),
         lam=(1.0, *lam[0, 1:].tolist()),

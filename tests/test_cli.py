@@ -3,9 +3,13 @@
 import csv
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+import ugp.cli
+import ugp.errors
 from ugp.cli import (
     EXIT_DOD,
     EXIT_DOMAIN,
@@ -140,7 +144,44 @@ OVERFLOWING = {
 }
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+ERROR_CLASSES = [
+    obj
+    for obj in vars(ugp.errors).values()
+    if isinstance(obj, type) and issubclass(obj, Exception)
+]
+
+
+def readme_exit_codes() -> dict[str, int]:
+    """Class name -> exit code, read from the README's exit-code table."""
+    section = README.read_text(encoding="utf-8").split("### Exit codes", 1)[1]
+    codes = {}
+    for line in section.split("\n#", 1)[0].splitlines():
+        cells = line.split("|")
+        if len(cells) == 5 and cells[1].strip().isdigit():
+            for name in re.findall(r"`(\w+)`", cells[3]):
+                codes[name] = int(cells[1])
+    return codes
+
+
 class TestExitCodes:
+    def test_every_error_class_exits_with_its_readme_code(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        codes = readme_exit_codes()
+        assert sorted(codes) == sorted(cls.__name__ for cls in ERROR_CLASSES)
+        path = write_problem(tmp_path / "p.json", AMGM)
+        for cls in ERROR_CLASSES:
+            error = cls("pinned")
+
+            def fail(*args, error=error):
+                raise error
+
+            monkeypatch.setattr(ugp.cli, "sweep", fail)
+            assert cls.exit_code == codes[cls.__name__]
+            assert main(["solve", path, "--gamma", "0.5"]) == cls.exit_code
+            assert capsys.readouterr().err == "error: pinned\n"
+
     def test_overflowing_solution_is_a_domain_error(self, tmp_path, capsys):
         path = write_problem(tmp_path / "p.json", OVERFLOWING)
         out = tmp_path / "sweep.csv"

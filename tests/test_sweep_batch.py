@@ -35,8 +35,8 @@ from ugp.cli import (
     load_problem,
     main,
 )
-from ugp.errors import NumericalRangeError
-from ugp.gp import solve_gp
+from ugp.errors import NonConvergence, NumericalRangeError
+from ugp.gp import DualStructure, solve_gp
 from ugp.twofold import ReductionCriterion, TwoFoldVariable
 
 from support import grid_search_minimum
@@ -81,6 +81,11 @@ STRUCTURAL_FAILURES = {
         [(crisp(1.0), (1.0,)), (crisp(1.0), (-1.0,))],
         [[(crisp(0.01), (1.0,))]],
     ),
+    # min 1e308 (x + 1/x + 1), degree of difficulty 1: Newton must stay in
+    # range although the optimum 3e308 does not
+    "overflow_dod1": problem(
+        [(crisp(1e308), (1.0,)), (crisp(1e308), (-1.0,)), (crisp(1e308), (0.0,))]
+    ),
 }
 
 # error class and `ugp sweep` exit code of each structural failure
@@ -90,6 +95,7 @@ EXPECTED = {
     "too_few_terms": ("DegreeOfDifficultyNegative", EXIT_DOD),
     "nonpositive_support": ("ValueError", EXIT_DOMAIN),
     "slack_constraint": ("NonConvergence", EXIT_NONCONVERGENCE),
+    "overflow_dod1": ("NumericalRangeError", EXIT_DOMAIN),
 }
 
 MIXED_GRID = [0.3, 0.0, 0.5, 1.0, 1.5, math.nan, 0.7]
@@ -142,6 +148,10 @@ class TestFailuresKeepTheirPlace:
             assert (row.error, row.message) == per_gamma(
                 uncertain_problem, gamma, criterion
             )
+            assert (type(row.exception).__name__, str(row.exception)) == (
+                row.error,
+                row.message,
+            )
         valid = [r for g, r in zip(MIXED_GRID, rows) if 0.0 < g < 1.0]
         assert {r.error for r in valid} == {EXPECTED[name][0]}
 
@@ -170,18 +180,55 @@ class TestFailuresKeepTheirPlace:
         assert str(from_sweep.value) == str(from_solve.value)
 
     @pytest.mark.parametrize("name", sorted(STRUCTURAL_FAILURES))
+    def test_failing_sweeps_compare_equal(self, name):
+        first = sweep(STRUCTURAL_FAILURES[name], MIXED_GRID)
+        second = sweep(STRUCTURAL_FAILURES[name], MIXED_GRID)
+        assert all(isinstance(row, FailedRow) for row in first)
+        assert first == second
+        assert repr(first) == repr(second)
+
+    @pytest.mark.parametrize("name", sorted(STRUCTURAL_FAILURES))
     def test_sweep_exit_codes(self, tmp_path, name, capsys):
+        """`ugp solve` and `ugp sweep` exit alike, with one `error:` line."""
         path = tmp_path / "problem.json"
         path.write_text(json.dumps(json_doc(STRUCTURAL_FAILURES[name])))
         out = str(tmp_path / "out.csv")
+        assert main(["solve", str(path), "--gamma", "0.5"]) == EXPECTED[name][1]
+        error_line = capsys.readouterr().err
+        assert error_line.startswith("error: ") and error_line.count("\n") == 1
         mixed = ",".join(repr(g) for g in MIXED_GRID)
-        for grid in ("0.3,0.5", mixed):
+        for grid in ("0.5", "0.3,0.5", mixed):
             code = main(["sweep", str(path), "--gammas", grid, "-o", out])
             assert code == EXPECTED[name][1]
+            assert capsys.readouterr().err == error_line
         comments = [
             line for line in open(out, encoding="utf-8") if line.startswith("#")
         ]
         assert len(comments) == len(MIXED_GRID)
+
+
+class TestFailedRowCarriesItsException:
+    @pytest.mark.parametrize(
+        "error", [NonConvergence("pinned"), RuntimeError("pinned")]
+    )
+    def test_sweep_raises_the_instance_the_solve_raised(
+        self, tmp_path, monkeypatch, capsys, error
+    ):
+        monkeypatch.setattr(
+            DualStructure, "solve", lambda self, rows: [error] * len(rows)
+        )
+        rows = sweep(STRUCTURAL_FAILURES["slack_constraint"], [0.3, 0.5])
+        assert all(row.exception is error for row in rows)
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(json_doc(STRUCTURAL_FAILURES["slack_constraint"])))
+        argv = ["sweep", str(path), "--gammas", "0.3,0.5", "-o", str(tmp_path / "o")]
+        if isinstance(error, NonConvergence):
+            assert main(argv) == EXIT_NONCONVERGENCE
+            assert capsys.readouterr().err == "error: pinned\n"
+        else:  # not a ugp error: a bug, which main must not turn into an exit code
+            with pytest.raises(RuntimeError) as raised:
+                main(argv)
+            assert raised.value is error
 
 
 class TestOverflow:
@@ -259,6 +306,8 @@ def assert_rows_agree(row, reference):
     assert isinstance(row, SweepRow)
     assert row.gamma == reference.gamma
     assert row.delta_star == reference.delta_star
+    assert row.diagnostics.primal_objective == row.expected_objective
+    assert not row.diagnostics.gap_exceeds
     np.testing.assert_allclose(row.x_star, reference.x_star, rtol=1e-12, atol=0)
     assert row.expected_objective == pytest.approx(
         reference.expected_objective, rel=1e-12, abs=0
@@ -301,6 +350,7 @@ class TestBatchAgreesWithPerGammaSolves:
                 solution.primal_x,
                 solution.delta,
                 solution.diagnostics.primal_objective,
+                solution.diagnostics,
             )
             assert_rows_agree(row, reference)
             # x* sits on the grid, so the grid minimum can only match or beat it
