@@ -24,12 +24,16 @@ difficulty, 5 solver non-convergence.  A sweep exits non-zero only when
 every row fails, with the code of its first failed row.  CSV output is
 deterministic: dot decimal separator, 17 significant digits, LF line
 endings.
+
+The argument parser is built once per process, on the first ``main``
+call, and shared by every later call; it holds no per-call state.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -249,6 +253,8 @@ def _parse_gammas(text: str) -> list[float]:
         if len(parts) != 3:
             raise ValueError("gamma range must be start:stop:step")
         start, stop, step = (float(p) for p in parts)
+        if not all(map(math.isfinite, (start, stop, step))):
+            raise ValueError("gamma range start, stop and step must be finite")
         if step <= 0:
             raise ValueError("gamma range step must be positive")
         grid = []
@@ -273,7 +279,10 @@ def _criterion_from_args(args: argparse.Namespace) -> ReductionCriterion:
     return ReductionCriterion.pessimistic(args.alpha)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``ugp`` parser, built on the first call and shared by every later
+    one, so callers must not change it; ``parse_args`` gives a new namespace."""
     parser = argparse.ArgumentParser(
         prog="ugp",
         description=(

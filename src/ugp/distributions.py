@@ -89,8 +89,8 @@ class PiecewiseDistribution:
 
     breakpoints: tuple[float, ...]
     pieces: tuple[tuple[float, float, float, float], ...]
-    # (lo, hi, c0, c1, c2, m) per piece and the running maximum of the
-    # piece tops, as Python floats for the per-scalar inverse.
+    # (lo, hi, c0, c1, c2, m, side of m) per piece and the running maximum
+    # of the piece tops, as Python floats for the per-scalar inverse.
     _rows: tuple = field(init=False, repr=False, compare=False)
     _reach: list = field(init=False, repr=False, compare=False)
 
@@ -112,7 +112,7 @@ class PiecewiseDistribution:
             c0, c1, c2, m = piece
             if c1 != 0.0 and c2 != 0.0:
                 raise ValueError("a piece is affine or quadratic, not both")
-            rows.append((lo, hi, c0, c1, c2, m))
+            rows.append((lo, hi, c0, c1, c2, m, 1.0 if (lo + hi) / 2.0 >= m else -1.0))
             best = max(best, _piece_value(piece, hi))
             reach.append(best)
         setattr_ = object.__setattr__
@@ -147,23 +147,52 @@ class PiecewiseDistribution:
         values = np.where(x < grid[0], 0.0, np.where(x > grid[-1], 1.0, values))
         return values if values.ndim else float(values)
 
-    def inverse(self, gamma: float) -> float:
-        """inf{x : cdf(x) >= gamma} for gamma in the open unit interval."""
-        _require_alpha_open(gamma, "gamma")
+    @cached_property
+    def _inverse_table(self) -> np.ndarray:
+        """Rows reach, lo, hi, c0, divisor, m, side, c2, a column per piece, for
+        the array ``inverse``; a flat piece is affine with divisor inf and
+        m = lo, and a last flat column at the end takes levels above every top."""
+        end = self.breakpoints[-1]
+        columns = [
+            (top, lo, hi, c0, c2 or c1 or math.inf, m if c1 or c2 else lo, side, c2)
+            for top, (lo, hi, c0, c1, c2, m, side) in zip(self._reach, self._rows)
+        ]
+        columns.append((math.inf, end, end, 0.0, math.inf, end, 1.0, 0.0))
+        return np.array(columns, dtype=float).T.copy()
+
+    def inverse(self, gamma):
+        """inf{x : cdf(x) >= gamma} for gamma in the open unit interval.
+
+        A float gives a float; an array of levels is inverted in one numpy
+        pass, each element equal to the scalar result, and its first level
+        outside (0, 1) raises the scalar call's error."""
+        if isinstance(gamma, np.ndarray):
+            return self._inverse_array(gamma)
+        gamma = _require_alpha_open(gamma, "gamma")
         i = bisect_left(self._reach, gamma)  # first piece whose top reaches gamma
         if i == len(self._rows):
             return self.breakpoints[-1]
-        lo, hi, c0, c1, c2, m = self._rows[i]
+        lo, hi, c0, c1, c2, m, side = self._rows[i]
         if c2 != 0.0:
-            r = math.sqrt(max((gamma - c0) / c2, 0.0))
-            x = m + r if (lo + hi) / 2.0 >= m else m - r
+            x = m + side * math.sqrt(max((gamma - c0) / c2, 0.0))
         elif c1 != 0.0:
             x = m + (gamma - c0) / c1
         else:
             return lo  # a flat piece inverts to its left end
         # Clamping to [lo, hi] makes inversion land on the left
         # breakpoint whenever gamma falls in a jump gap.
-        return min(max(x, lo), hi)
+        return lo if x < lo else hi if x > hi else x
+
+    def _inverse_array(self, gamma: np.ndarray) -> np.ndarray:
+        gamma = np.asarray(gamma, dtype=float)
+        if not ((gamma > 0.0) & (gamma < 1.0)).all():
+            first = next(g for g in gamma.ravel().tolist() if not 0.0 < g < 1.0)
+            _require_alpha_open(first, "gamma")
+        table = self._inverse_table
+        _, lo, hi, c0, divisor, m, side, c2 = table[:, np.searchsorted(table[0], gamma)]
+        t = (gamma - c0) / divisor
+        x = m + np.where(c2 != 0.0, side * np.sqrt(np.maximum(t, 0.0)), t)
+        return np.minimum(np.maximum(x, lo), hi)
 
     def expected_value(self) -> float:
         """Integral of the inverse over (0, 1), piece by piece in closed form.
@@ -175,7 +204,7 @@ class PiecewiseDistribution:
         """
         total = 0.0
         top = 0.0
-        for lo, hi, c0, c1, c2, m in self._rows:
+        for lo, hi, c0, c1, c2, m, side in self._rows:
             g0 = _piece_value((c0, c1, c2, m), lo)
             g1 = _piece_value((c0, c1, c2, m), hi)
             if g0 > top:
@@ -183,8 +212,7 @@ class PiecewiseDistribution:
             if c2 != 0.0:
                 t0 = max((g0 - c0) / c2, 0.0)
                 t1 = max((g1 - c0) / c2, 0.0)
-                sign = 1.0 if (lo + hi) / 2.0 >= m else -1.0
-                total += m * (g1 - g0) + sign * (2.0 * c2 / 3.0) * (
+                total += m * (g1 - g0) + side * (2.0 * c2 / 3.0) * (
                     t1**1.5 - t0**1.5
                 )
             elif c1 != 0.0:
@@ -200,7 +228,7 @@ class PiecewiseDistribution:
         """Same integral via adaptive Simpson on the inverse, per gamma panel."""
         knots = [0.0]
         for row in self._rows:
-            g = _piece_value(row[2:], row[1])
+            g = _piece_value(row[2:6], row[1])
             if g > knots[-1]:
                 knots.append(min(g, 1.0))
         if knots[-1] < 1.0:

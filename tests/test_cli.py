@@ -1,5 +1,6 @@
 """CLI surface: problem files, CSV outputs, exit codes, determinism."""
 
+import argparse
 import csv
 import hashlib
 import json
@@ -347,6 +348,18 @@ class TestSweepCommand:
         assert len(lines) == 3
         assert lines[2].startswith("# gamma=1.5 error=AlphaOutOfRange")
 
+    @pytest.mark.parametrize(
+        "grid", ["0.1:inf:0.1", "0.1:0.9:nan", "nan:0.9:0.1", "-inf:0.9:0.1", "0.1:0.9:inf"]
+    )
+    def test_nonfinite_range_is_a_domain_error(self, tmp_path, capsys, grid):
+        path = write_problem(tmp_path / "p.json", AMGM)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", path, f"--gammas={grid}", "-o", str(out)]) == EXIT_DOMAIN
+        assert capsys.readouterr().err == (
+            "error: gamma range start, stop and step must be finite\n"
+        )
+        assert not out.exists()
+
     def test_empty_grid_header_only(self, tmp_path):
         path = write_problem(tmp_path / "p.json", AMGM)
         out = tmp_path / "sweep.csv"
@@ -403,3 +416,46 @@ class TestTablesCommand:
         )
         cells = line.split()
         assert all("." in cell and len(cell.split(".")[1]) == 3 for cell in cells)
+
+
+class TestParser:
+    """The parser is built once per process; calls must not share state."""
+
+    def test_options_of_one_call_do_not_reach_the_next(self, tmp_path, capsys):
+        path = write_problem(tmp_path / "p.json", AMGM)
+        out = tmp_path / "row.csv"
+        first = ["solve", path, "--gamma", "0.5", "--criterion", "optimistic"]
+        assert main(first + ["--alpha", "0.3", "-o", str(out)]) == EXIT_OK
+        out.unlink()
+        capsys.readouterr()
+        assert main(first) == EXIT_DOMAIN
+        assert "needs --alpha" in capsys.readouterr().err
+        assert main(["solve", path, "--gamma", "0.5"]) == EXIT_OK
+        assert "wrote" not in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == [tmp_path / "p.json"]
+
+    def test_help_is_the_same_every_time(self, capsys):
+        texts = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["--help"])
+            assert exit_info.value.code == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1]
+        assert "usage: ugp" in texts[0]
+
+    def test_one_parser_tree_per_process(self, tmp_path, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        ugp.cli.build_parser.cache_clear()
+        path = write_problem(tmp_path / "p.json", AMGM)
+        out = tmp_path / "sweep.csv"
+        for grid in ("0.5", "0.3,0.7", "0.1:0.9:0.4"):
+            assert main(["sweep", path, "--gammas", grid, "-o", str(out)]) == EXIT_OK
+        assert len(built) == 5  # root + reduce, solve, sweep, tables
