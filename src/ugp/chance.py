@@ -15,13 +15,13 @@ deterministic posynomial GP:
 The deterministic program is solved by the dual method and the optimal
 point, dual weights and expected objective are reported.  A sweep solves
 a whole grid of confidence levels as one batch.  Once per sweep: the
-reduction, the objective coefficients, the support checks, one inverse
-call per constraint term over the whole grid and the dual structure,
-which depends on the exponents alone (at degree of difficulty zero that
-fixes the dual weights for every row; otherwise the phase-I point and
-null space that start Newton).  Per row: the gamma check and the rest of
-the pipeline -- Newton when the degree of difficulty is positive, the
-dual value, one shared least-squares recovery and verification.
+reduction, the objective coefficients and the dual structure, which
+depends on the exponents alone (at degree of difficulty zero that fixes
+the dual weights for every row; otherwise the phase-I point and null
+space that start Newton).  Per row: the constraint inverses at gamma and
+the gamma-dependent part of the pipeline -- Newton when the degree of
+difficulty is positive, the dual value, one shared least-squares
+recovery and verification.
 """
 
 from __future__ import annotations
@@ -138,13 +138,17 @@ def _objective_posynomial(reduced: ReducedGPProblem) -> Posynomial:
     )
 
 
-def _constraint_terms(reduced: ReducedGPProblem) -> list[PiecewiseDistribution]:
-    """The constraint coefficients' distributions in build_dual order,
-    once their supports are checked."""
-    terms = [ud for block in reduced.constraints for ud, _ in block]
-    for ud in terms:
-        _require_positive_support(ud)
-    return terms
+def _constraint_coefficients(
+    reduced: ReducedGPProblem, gamma: float
+) -> list[tuple[float, ...]]:
+    """Per constraint block, the reduced inverses at gamma."""
+    _require_alpha_open(gamma, "gamma")
+    coefficients = []
+    for block in reduced.constraints:
+        for ud, _ in block:
+            _require_positive_support(ud)
+        coefficients.append(tuple(ud.inverse(gamma) for ud, _ in block))
+    return coefficients
 
 
 def deterministic_form(
@@ -158,14 +162,13 @@ def deterministic_form(
     since the transformation relies on the coefficients entering the
     posynomials positively.
     """
-    objective = _objective_posynomial(reduced)
-    _require_alpha_open(gamma, "gamma")
-    _constraint_terms(reduced)
     return DeterministicGP(
-        objective,
-        tuple(
-            Posynomial(tuple(ud.inverse(gamma) for ud, _ in b), tuple(e for _, e in b))
-            for b in reduced.constraints
+        objective=_objective_posynomial(reduced),
+        constraints=tuple(
+            Posynomial(coefficients, tuple(exps for _, exps in block))
+            for coefficients, block in zip(
+                _constraint_coefficients(reduced, gamma), reduced.constraints
+            )
         ),
     )
 
@@ -216,39 +219,33 @@ def _solve_grid(
 
     An objective coefficient whose support touches zero fails the whole
     grid and is raised.  Invalid gammas and constraint coefficients that
-    touch zero fail their rows before any solve; each constraint term is
-    inverted over the remaining gammas in one call, and their rows are
+    touch zero fail their rows before any solve; the remaining rows are
     solved as one batch on a single dual structure.
     """
     objective = _objective_posynomial(reduced)
     outcomes: list = []
-    for gamma in gammas:
+    solved: list[int] = []
+    coefficients: list[tuple[float, ...]] = []
+    for i, gamma in enumerate(gammas):
         try:
-            _require_alpha_open(gamma, "gamma")
+            blocks = _constraint_coefficients(reduced, gamma)
         except ValueError as exc:
             outcomes.append(exc)
-        else:
-            outcomes.append(None)
-    solved = [i for i, outcome in enumerate(outcomes) if outcome is None]
-    try:
-        terms = _constraint_terms(reduced)
-    except ValueError as exc:
-        return [exc if outcome is None else outcome for outcome in outcomes]
-    grid = np.array([gammas[i] for i in solved], dtype=float)
-    width = len(objective.coefficients)
-    coefficients = np.empty((len(grid), width + len(terms)))
-    coefficients[:, :width] = objective.coefficients
-    for j, ud in enumerate(terms, start=width):
-        coefficients[:, j] = ud.inverse(grid)
+            continue
+        outcomes.append(None)
+        solved.append(i)
+        coefficients.append(objective.coefficients + sum(blocks, ()))
     solutions = _dual_structure(reduced).solve(coefficients)
     for i, solution in zip(solved, solutions):
         if isinstance(solution, Exception):
             outcomes[i] = solution
         else:
-            diagnostics = solution.diagnostics
             outcomes[i] = SweepRow(
-                gammas[i], solution.primal_x, solution.delta,
-                diagnostics.primal_objective, diagnostics,
+                gamma=gammas[i],
+                x_star=solution.primal_x,
+                delta_star=solution.delta,
+                expected_objective=solution.diagnostics.primal_objective,
+                diagnostics=solution.diagnostics,
             )
     return outcomes
 

@@ -147,27 +147,8 @@ class PiecewiseDistribution:
         values = np.where(x < grid[0], 0.0, np.where(x > grid[-1], 1.0, values))
         return values if values.ndim else float(values)
 
-    @cached_property
-    def _inverse_table(self) -> np.ndarray:
-        """Rows reach, lo, hi, c0, divisor, m, side, c2, a column per piece, for
-        the array ``inverse``; a flat piece is affine with divisor inf and
-        m = lo, and a last flat column at the end takes levels above every top."""
-        end = self.breakpoints[-1]
-        columns = [
-            (top, lo, hi, c0, c2 or c1 or math.inf, m if c1 or c2 else lo, side, c2)
-            for top, (lo, hi, c0, c1, c2, m, side) in zip(self._reach, self._rows)
-        ]
-        columns.append((math.inf, end, end, 0.0, math.inf, end, 1.0, 0.0))
-        return np.array(columns, dtype=float).T.copy()
-
-    def inverse(self, gamma):
-        """inf{x : cdf(x) >= gamma} for gamma in the open unit interval.
-
-        A float gives a float; an array of levels is inverted in one numpy
-        pass, each element equal to the scalar result, and its first level
-        outside (0, 1) raises the scalar call's error."""
-        if isinstance(gamma, np.ndarray):
-            return self._inverse_array(gamma)
+    def inverse(self, gamma: float) -> float:
+        """inf{x : cdf(x) >= gamma} for gamma in the open unit interval."""
         gamma = _require_alpha_open(gamma, "gamma")
         i = bisect_left(self._reach, gamma)  # first piece whose top reaches gamma
         if i == len(self._rows):
@@ -182,17 +163,6 @@ class PiecewiseDistribution:
         # Clamping to [lo, hi] makes inversion land on the left
         # breakpoint whenever gamma falls in a jump gap.
         return lo if x < lo else hi if x > hi else x
-
-    def _inverse_array(self, gamma: np.ndarray) -> np.ndarray:
-        gamma = np.asarray(gamma, dtype=float)
-        if not ((gamma > 0.0) & (gamma < 1.0)).all():
-            first = next(g for g in gamma.ravel().tolist() if not 0.0 < g < 1.0)
-            _require_alpha_open(first, "gamma")
-        table = self._inverse_table
-        _, lo, hi, c0, divisor, m, side, c2 = table[:, np.searchsorted(table[0], gamma)]
-        t = (gamma - c0) / divisor
-        x = m + np.where(c2 != 0.0, side * np.sqrt(np.maximum(t, 0.0)), t)
-        return np.minimum(np.maximum(x, lo), hi)
 
     def expected_value(self) -> float:
         """Integral of the inverse over (0, 1), piece by piece in closed form.

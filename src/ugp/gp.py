@@ -407,25 +407,23 @@ class DualStructure:
             x = np.exp(log_x)
             dual_value = np.exp(log_v)
             reports = self._verify(beta, delta, dual_value, x, active, targets)
-        objective = [report.primal_objective for report in reports]
-        values = np.empty((len(rows), 2 + self.n_variables))
-        values[:, 0], values[:, 1], values[:, 2:] = dual_value, objective, x
-        in_range = ((values > 0.0) & (values < math.inf)).all(axis=1)
-        for g, failure, ok, row, d, lam_row, report in zip(
-            rows, failures, in_range.tolist(), values.tolist(), delta.tolist(),
-            lam[:, 1:].tolist(), reports,
-        ):
-            if failure is not None:
-                outcomes[g] = failure
-            elif not ok:
+        for i, g in enumerate(rows):
+            values = (float(dual_value[i]), reports[i].primal_objective, *x[i].tolist())
+            if failures[i] is not None:
+                outcomes[g] = failures[i]
+            elif not all(0.0 < v < math.inf for v in values):
                 outcomes[g] = NumericalRangeError(
                     "the solution leaves the double-precision range (overflow "
                     "or underflow): dual value {:.6g}, objective {:.6g}, "
-                    "x* = ({})".format(*row[:2], ", ".join(map(str, row[2:])))
+                    "x* = ({})".format(*values[:2], ", ".join(map(str, values[2:])))
                 )
             else:
                 outcomes[g] = DualSolution(
-                    tuple(d), (1.0, *lam_row), row[0], tuple(row[2:]), report
+                    delta=tuple(delta[i].tolist()),
+                    lam=(1.0, *lam[i, 1:].tolist()),
+                    dual_value=values[0],
+                    primal_x=values[2:],
+                    diagnostics=reports[i],
                 )
         return outcomes
 
@@ -539,16 +537,20 @@ class DualStructure:
         residual = np.where(active, np.log(x) @ self.exponent_matrix.T - targets, 0.0)
         linear = np.sqrt((residual**2).sum(axis=1))
         condition = np.max(np.abs(delta @ self.A.T - self.rhs), axis=1)
-        violated = [()] * len(values)
-        rows, blocks = np.nonzero(values[:, 1:] > 1.0 + 1e-8)
-        for i, k in zip(rows.tolist(), (blocks + 1).tolist()):
-            violated[i] += (k,)
-        # Positional fields: keywords cost a fifth of a 1,000-row sweep.
         return [
-            GPDiagnostics(row[0], gap, tuple(row[1:]), lin, cond, exceeds, v)
-            for row, gap, lin, cond, exceeds, v in zip(
-                values.tolist(), gaps.tolist(), linear.tolist(), condition.tolist(),
-                (gaps > 1e-6).tolist(), violated,
+            GPDiagnostics(
+                primal_objective=row[0],
+                duality_gap_rel=gap,
+                constraint_values=tuple(row[1:]),
+                linear_residual=lin,
+                condition_residual=cond,
+                gap_exceeds=gap > 1e-6,
+                violated_constraints=tuple(
+                    k for k, v in enumerate(row[1:], start=1) if v > 1.0 + 1e-8
+                ),
+            )
+            for row, gap, lin, cond in zip(
+                values.tolist(), gaps.tolist(), linear.tolist(), condition.tolist()
             )
         ]
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ugp.distributions import PiecewiseDistribution, check_regularity
+from ugp.distributions import check_regularity
 from ugp.errors import AlphaOutOfRange, YOutOfRange
 from ugp.twofold import (
     ReductionCriterion,
@@ -325,79 +325,11 @@ class TestReducedInverse:
         with pytest.raises(AlphaOutOfRange):
             reduced_inverse(TRI_EXAMPLE, ReductionCriterion.expected(), 1.0)
 
-    @staticmethod
-    def levels_through_every_top(pw: PiecewiseDistribution) -> np.ndarray:
-        """A grid plus every running piece top inside (0, 1) and its two
-        floating-point neighbours."""
-        tops = np.maximum.accumulate(
-            [
-                c0 + c1 * (hi - m) + c2 * (hi - m) ** 2
-                for hi, (c0, c1, c2, m) in zip(pw.breakpoints[1:], pw.pieces)
-            ]
-        )
-        levels = np.concatenate(
-            [
-                np.linspace(0.001, 0.999, 199),
-                tops,
-                np.nextafter(tops, 0.0),
-                np.nextafter(tops, 1.0),
-            ]
-        )
-        return levels[(levels > 0.0) & (levels < 1.0)]
-
-    def test_array_inverse_equals_scalar_inverse(self):
-        rng = np.random.default_rng(41)
-        distributions = []
-        for family in ("triangular", "trapezoidal"):
-            for _ in range(10):
-                tf = random_twofold(rng, family)
-                alpha = float(rng.uniform(0.02, 0.98))
-                for criterion in (
-                    ReductionCriterion.expected(),
-                    ReductionCriterion.optimistic(alpha),
-                    ReductionCriterion.pessimistic(alpha),
-                ):
-                    distributions.append(reduce_twofold(tf, criterion))
-        # jump gaps at x = 1 (0.3 -> 0.4) and x = 2 (0.7 -> 0.8, onto a
-        # flat piece), then a decreasing piece (a negative control) whose
-        # top the running maximum skips
-        distributions.append(
-            PiecewiseDistribution(
-                (0.0, 1.0, 2.0, 3.0, 4.0, 5.0),
-                (
-                    (0.0, 0.3, 0.0, 0.0),
-                    (0.1, 0.3, 0.0, 0.0),
-                    (0.8, 0.0, 0.0, 0.0),
-                    (1.1, -0.1, 0.0, 0.0),
-                    (0.95, 0.0, -0.25, 5.0),
-                ),
-            )
-        )
-        for pw in distributions:
-            levels = self.levels_through_every_top(pw)
-            values = pw.inverse(levels)
-            assert isinstance(values, np.ndarray)
-            assert values.tolist() == [pw.inverse(float(g)) for g in levels]
-        assert distributions[-1].inverse(np.array([0.35, 0.75])).tolist() == [1.0, 2.0]
-
     def test_scalar_inverse_returns_a_float(self):
         reduced = reduce_twofold(TRA_EXAMPLE, ReductionCriterion.optimistic(0.3))
         for gamma in (0.3, np.float64(0.3)):
             assert type(reduced.inverse(gamma)) is float
         assert reduced.inverse(np.float64(0.3)) == reduced.inverse(0.3)
-        assert reduced.inverse(np.array([])).shape == (0,)
-
-    @pytest.mark.parametrize(
-        "levels", [[0.2, 1.5, 0.0], [0.0, 0.5], [0.4, math.nan], [0.9, -0.1, 1.0]]
-    )
-    def test_array_inverse_reports_first_bad_level(self, levels):
-        reduced = reduce_twofold(TRI_EXAMPLE, ReductionCriterion.expected())
-        first_bad = next(g for g in levels if not 0.0 < g < 1.0)
-        with pytest.raises(AlphaOutOfRange) as scalar_error:
-            reduced.inverse(first_bad)
-        with pytest.raises(AlphaOutOfRange) as array_error:
-            reduced.inverse(np.array(levels))
-        assert str(array_error.value) == str(scalar_error.value)
 
 
 class TestCurveSamples:
