@@ -36,6 +36,7 @@ import csv
 import functools
 import json
 import math
+import re
 import sys
 from importlib import resources
 from pathlib import Path
@@ -54,6 +55,8 @@ from .errors import (  # the EXIT_* codes are also read from ugp.cli
 from .twofold import ReductionCriterion, TwoFoldVariable, curve_samples
 
 _FAMILIES = {"tri": "triangular", "tra": "trapezoidal"}
+_NUMBER_OPTIONS = ("--gamma", "--gammas", "--alpha")
+_NEGATIVE = re.compile(r"-(?:[\d.]|inf|nan)", re.IGNORECASE)  # a value, not an option
 
 
 def _fmt(value: float) -> str:
@@ -430,7 +433,14 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    # argparse takes "-0.1,0.5" or "-1e-3" for an option, not a value, so a
+    # negative value is first joined to its option: "--gammas=-0.1,0.5".
+    tokens: list[str] = []
+    for token in sys.argv[1:] if argv is None else argv:
+        if tokens and tokens[-1] in _NUMBER_OPTIONS and _NEGATIVE.match(token):
+            token = f"{tokens.pop()}={token}"
+        tokens.append(token)
+    args = build_parser().parse_args(tokens)
     try:
         return _COMMANDS[args.command](args)
     except (UGPError, ValueError) as exc:

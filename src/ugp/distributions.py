@@ -123,8 +123,8 @@ class PiecewiseDistribution:
 
     @cached_property
     def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Breakpoints and the (4, pieces) coefficient array for ``cdf``."""
-        return np.array(self.breakpoints), np.array(self.pieces).T
+        """Interior breakpoints and the (4, pieces) coefficient table for ``cdf``."""
+        return np.array(self.breakpoints[1:-1]), np.array(self.pieces).T
 
     @property
     def support(self) -> tuple[float, float]:
@@ -138,13 +138,15 @@ class PiecewiseDistribution:
         in one call rather than point by point.
         """
         x = np.asarray(x, dtype=float)
-        grid, coef = self._arrays
-        inside = np.clip(x, grid[0], grid[-1])
-        i = np.searchsorted(grid, inside, side="right") - 1
-        c0, c1, c2, m = coef[:, np.minimum(i, len(self.pieces) - 1)]
+        inner, coef = self._arrays
+        lo, hi = self.support
+        inside = np.clip(x, lo, hi)
+        # The count of interior breakpoints <= x is x's piece (hi: the last
+        # one); one take gathers its four coefficients as contiguous rows.
+        c0, c1, c2, m = coef.take(np.searchsorted(inner, inside, side="right"), axis=1)
         d = inside - m
         values = (c0 + c1 * d) + c2 * d * d
-        values = np.where(x < grid[0], 0.0, np.where(x > grid[-1], 1.0, values))
+        values = np.where(x < lo, 0.0, np.where(x > hi, 1.0, values))
         return values if values.ndim else float(values)
 
     def inverse(self, gamma: float) -> float:

@@ -30,7 +30,10 @@ strictly increasing on its support.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+
+import numpy as np
 
 from .distributions import (
     PiecewiseDistribution,
@@ -210,7 +213,7 @@ def curve_samples(
         raise ValueError("need at least two samples")
     lo, hi = tf.support
     step = (hi - lo) / (samples - 1)
-    xs = [lo + i * step for i in range(samples)]
+    xs = lo + np.arange(operator.index(samples)) * step  # 10.0 raises, as range did
     xs[-1] = hi
     columns = [reduce_twofold(tf, criterion).cdf(xs).tolist() for criterion in criteria]
-    return xs, columns
+    return xs.tolist(), columns

@@ -360,6 +360,39 @@ class TestSweepCommand:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("grid", ["-0.1,0.5", "-0.1:0.9:0.1", "-.5,0.5", "-inf,0.5"])
+    def test_negative_values_may_follow_gammas(self, tmp_path, capsys, grid):
+        path = write_problem(tmp_path / "p.json", AMGM)
+        joined, spaced = tmp_path / "joined.csv", tmp_path / "spaced.csv"
+        code = main(["sweep", path, f"--gammas={grid}", "-o", str(joined)])
+        assert main(["sweep", path, "--gammas", grid, "-o", str(spaced)]) == code == EXIT_OK
+        assert spaced.read_bytes() == joined.read_bytes()
+        assert "error=AlphaOutOfRange" in spaced.read_text()
+
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            (["--gamma", "-1e-3"], "gamma must lie strictly inside (0, 1), got -0.001"),
+            (["--gamma", "-inf"], "gamma must lie strictly inside (0, 1), got -inf"),
+            (
+                ["--gamma", "0.5", "--criterion", "optimistic", "--alpha", "-1e-3"],
+                "alpha must lie strictly inside (0, 1), got -0.001",
+            ),
+        ],
+    )
+    def test_negative_gamma_or_alpha_is_a_domain_error(self, tmp_path, capsys, options, message):
+        path = write_problem(tmp_path / "p.json", AMGM)
+        assert main(["solve", path, *options]) == EXIT_DOMAIN
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_missing_gammas_value_is_a_usage_error(self, tmp_path, capsys):
+        path = write_problem(tmp_path / "p.json", AMGM)
+        argv = ["sweep", path, "--gammas", "--criterion", "expected", "-o", "x.csv"]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == EXIT_PARSE
+        assert "argument --gammas: expected one argument" in capsys.readouterr().err
+
     def test_empty_grid_header_only(self, tmp_path):
         path = write_problem(tmp_path / "p.json", AMGM)
         out = tmp_path / "sweep.csv"

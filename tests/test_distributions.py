@@ -2,6 +2,7 @@
 values, expectation and regularity checking."""
 
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from ugp.distributions import (
 )
 from ugp.errors import AlphaOutOfRange, QuadratureNonConvergence
 from ugp.numeric import adaptive_simpson, bisect_increasing
+from ugp.twofold import TwoFoldVariable, reduce_twofold
 
 from support import expected_by_grid
 
@@ -107,6 +109,98 @@ class TestEvaluation:
             values = [ud.cdf(x) for x in np.linspace(lo - 1, hi + 1, 10_000)]
             assert min(values) >= 0.0 and max(values) <= 1.0
             assert all(b - a >= -1e-12 for a, b in zip(values, values[1:]))
+
+
+def reference_cdf(pw: PiecewiseDistribution, x: float) -> float:
+    """Pure-Python cdf: 0 below the support, 1 above it, and inside it the
+    formula of the piece that ``bisect`` finds (a breakpoint takes the piece
+    on its right, the last breakpoint the last piece)."""
+    if math.isnan(x):
+        return math.nan
+    bps = pw.breakpoints
+    if x < bps[0]:
+        return 0.0
+    if x > bps[-1]:
+        return 1.0
+    c0, c1, c2, m = pw.pieces[min(bisect_right(bps, x), len(pw.pieces)) - 1]
+    d = x - m
+    return (c0 + c1 * d) + c2 * d * d
+
+
+def _cdf_cases() -> dict[str, PiecewiseDistribution]:
+    cases = {}
+    for family, tf in (
+        ("tri", TwoFoldVariable.triangular(2, 4, 5, 0.5, 0.6)),
+        ("tra", TwoFoldVariable.trapezoidal(2, 4, 6, 8, 0.5, 0.6)),
+    ):
+        for criterion in (
+            ReductionCriterion.expected(),
+            ReductionCriterion.optimistic(0.3),
+            ReductionCriterion.pessimistic(0.7),
+        ):
+            cases[f"{family}-{criterion.kind}"] = reduce_twofold(tf, criterion)
+    cases["linear"] = as_piecewise(LinearDistribution(-3.0, 5.0))
+    cases["triangular"] = as_piecewise(TriangularDistribution(2, 4, 5))
+    cases["trapezoidal"] = as_piecewise(TrapezoidalDistribution(2, 4, 6, 8))
+    # negative controls: not monotone, or not continuous
+    cases["wavy"] = PiecewiseDistribution(
+        (0.0, 1.0, 2.0, 3.0),
+        (ramp(0.0, 0.5), (0.9, 0.0, -0.3, 1.0), ramp(-0.2, 0.4)),
+    )
+    cases["decreasing"] = PiecewiseDistribution(
+        (0.0, 1.0, 2.0), (ramp(0.0, 0.8), ramp(1.6, -0.4))
+    )
+    cases["flat-piece"] = PiecewiseDistribution(
+        (0.0, 1.0, 2.0, 3.0), (ramp(0.0, 0.4), flat(0.4), ramp(-0.8, 0.6))
+    )
+    cases["jump-gap"] = PiecewiseDistribution(
+        (0.0, 1.0, 2.0), (ramp(0.0, 0.3), ramp(0.4, 0.3))
+    )
+    return cases
+
+
+CDF_CASES = _cdf_cases()
+
+
+class TestCdfOracle:
+    """The array ``cdf`` equals a scalar Python loop over the pieces, bit
+    for bit, on every input shape it accepts."""
+
+    @pytest.mark.parametrize("name", sorted(CDF_CASES))
+    def test_array_cdf_equals_reference(self, name):
+        pw = CDF_CASES[name]
+        lo, hi = pw.support
+        width = hi - lo
+        points = [
+            *pw.breakpoints,
+            -math.inf, math.inf,
+            lo - 1.0, hi + 1.0, lo - 1e-300, -1e300, 1e300,
+            *(math.nextafter(b, d) for b in pw.breakpoints for d in (-math.inf, math.inf)),
+            *np.linspace(lo - 0.1 * width, hi + 0.1 * width, 1000).tolist(),
+        ]
+        values = pw.cdf(np.array(points))
+        assert isinstance(values, np.ndarray) and values.shape == (len(points),)
+        assert values.tolist() == [reference_cdf(pw, x) for x in points]
+        assert pw.cdf(points).tolist() == values.tolist()  # a list goes in as an array
+
+    @pytest.mark.parametrize("name", sorted(CDF_CASES))
+    def test_scalar_shapes_and_nan(self, name):
+        pw = CDF_CASES[name]
+        for x in (*pw.breakpoints, pw.support[0] - 1.0, sum(pw.support) / 2.0):
+            for arg in (x, np.float64(x), np.array(x)):
+                value = pw.cdf(arg)
+                assert type(value) is float and value == reference_cdf(pw, x)
+        empty = pw.cdf(np.array([]))
+        assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+        assert math.isnan(pw.cdf(math.nan))
+        assert np.isnan(pw.cdf(np.array([math.nan, math.nan]))).all()
+
+    def test_2d_input_keeps_its_shape(self):
+        pw = CDF_CASES["tra-optimistic"]
+        grid = np.linspace(1.0, 9.0, 12).reshape(3, 4)
+        values = pw.cdf(grid)
+        assert values.shape == (3, 4)
+        assert values.ravel().tolist() == [reference_cdf(pw, x) for x in grid.ravel()]
 
 
 class TestInversion:

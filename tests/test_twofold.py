@@ -342,6 +342,31 @@ class TestCurveSamples:
         # expected criterion coincides with the optimistic half criterion
         assert cols[0] == pytest.approx(cols[1], abs=1e-15)
 
+    @pytest.mark.parametrize("tf", [TRI_EXAMPLE, TRA_EXAMPLE])
+    @pytest.mark.parametrize("samples", [2, 3, 7, 1000])
+    def test_grid_is_lo_plus_i_step_ending_at_hi(self, tf, samples):
+        criteria = [
+            ReductionCriterion.expected(),
+            ReductionCriterion.optimistic(0.3),
+            ReductionCriterion.pessimistic(0.3),
+        ]
+        xs, cols = curve_samples(tf, criteria, samples=samples)
+        lo, hi = tf.support
+        step = (hi - lo) / (samples - 1)
+        expected = [lo + i * step for i in range(samples)]
+        expected[-1] = hi
+        assert xs == expected
+        for criterion, col in zip(criteria, cols):
+            assert col == [reduce_twofold(tf, criterion).cdf(x) for x in expected]
+        assert all(type(v) is float for v in xs + [v for col in cols for v in col])
+
+    def test_numpy_parameters_still_give_python_floats(self):
+        tf = TwoFoldVariable.triangular(*np.array([2.0, 4.0, 5.0]), 0.5, 0.6)
+        xs, (col,) = curve_samples(tf, [ReductionCriterion.expected()], samples=5)
+        assert all(type(v) is float for v in xs + col)
+
     def test_sample_count_validated(self):
         with pytest.raises(ValueError):
             curve_samples(TRI_EXAMPLE, [ReductionCriterion.expected()], samples=1)
+        with pytest.raises(TypeError):
+            curve_samples(TRI_EXAMPLE, [ReductionCriterion.expected()], samples=10.0)
