@@ -57,6 +57,7 @@ from .twofold import ReductionCriterion, TwoFoldVariable, curve_samples
 _FAMILIES = {"tri": "triangular", "tra": "trapezoidal"}
 _NUMBER_OPTIONS = ("--gamma", "--gammas", "--alpha")
 _NEGATIVE = re.compile(r"-(?:[\d.]|inf|nan)", re.IGNORECASE)  # a value, not an option
+_MAX_GAMMA_ROWS = 1_000_000  # ~1,000x the longest grid the tests or benchmark run
 
 
 def _fmt(value: float) -> str:
@@ -260,9 +261,11 @@ def _parse_gammas(text: str) -> list[float]:
             raise ValueError("gamma range start, stop and step must be finite")
         if step <= 0:
             raise ValueError("gamma range step must be positive")
+        count = (stop - start) / step  # inf when the step underflows the range
+        if count >= _MAX_GAMMA_ROWS:
+            raise ValueError(f"gamma range must have at most {_MAX_GAMMA_ROWS} rows")
         grid = []
-        count = int(round((stop - start) / step))
-        for i in range(count + 1):
+        for i in range(int(round(count)) + 1):
             g = start + i * step
             if g <= stop + 1e-12:
                 grid.append(round(g, 12))
@@ -288,6 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     one, so callers must not change it; ``parse_args`` gives a new namespace."""
     parser = argparse.ArgumentParser(
         prog="ugp",
+        allow_abbrev=False,
         description=(
             "Geometric programming with two-fold uncertain coefficients: "
             "reduction curves, chance-constrained solves and confidence sweeps."
@@ -308,20 +312,26 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--alpha", type=float, default=None)
 
     p_reduce = sub.add_parser(
-        "reduce", help="dump reduced single-fold distribution curves as CSV"
+        "reduce",
+        help="dump reduced single-fold distribution curves as CSV",
+        allow_abbrev=False,
     )
     p_reduce.add_argument("file")
     add_criterion(p_reduce)
     p_reduce.add_argument("--samples", type=int, default=1000)
     p_reduce.add_argument("-o", "--output", required=True)
 
-    p_solve = sub.add_parser("solve", help="solve at one confidence level")
+    p_solve = sub.add_parser(
+        "solve", help="solve at one confidence level", allow_abbrev=False
+    )
     p_solve.add_argument("file")
     p_solve.add_argument("--gamma", type=float, required=True)
     add_criterion(p_solve)
     p_solve.add_argument("-o", "--output", default=None)
 
-    p_sweep = sub.add_parser("sweep", help="solve a grid of confidence levels")
+    p_sweep = sub.add_parser(
+        "sweep", help="solve a grid of confidence levels", allow_abbrev=False
+    )
     p_sweep.add_argument("file")
     p_sweep.add_argument(
         "--gammas", required=True, help="start:stop:step or comma list"
@@ -332,6 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tables = sub.add_parser(
         "tables",
         help="run both bundled benchmark problems and write table1.csv/table2.csv",
+        allow_abbrev=False,
     )
     p_tables.add_argument("--outdir", default=".")
     return parser
@@ -434,7 +445,8 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     # argparse takes "-0.1,0.5" or "-1e-3" for an option, not a value, so a
-    # negative value is first joined to its option: "--gammas=-0.1,0.5".
+    # negative value is first joined to its option: "--gammas=-0.1,0.5".  The
+    # parsers accept no option prefixes, so no other spelling needs joining.
     tokens: list[str] = []
     for token in sys.argv[1:] if argv is None else argv:
         if tokens and tokens[-1] in _NUMBER_OPTIONS and _NEGATIVE.match(token):

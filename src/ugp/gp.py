@@ -51,8 +51,6 @@ __all__ = [
     "GPDiagnostics",
     "degree_of_difficulty",
     "build_dual",
-    "solve_dual",
-    "recover_primal",
     "verify_solution",
     "solve_gp",
 ]
@@ -144,10 +142,6 @@ class DualProblem:
     def n_variables(self) -> int:
         return int(self.exponent_matrix.shape[1])
 
-    def condition_matrix(self) -> tuple[np.ndarray, np.ndarray]:
-        """Normality row plus n orthogonality rows, with right-hand side."""
-        return _condition_matrix(self.exponent_matrix, self.term_blocks)
-
     def block_totals(self, delta: np.ndarray) -> np.ndarray:
         """lambda_k = sum of weights in block k, for k = 0..K."""
         totals = np.zeros(self.n_constraints + 1)
@@ -166,15 +160,6 @@ def _log_value(beta: np.ndarray, delta: np.ndarray, lam: np.ndarray) -> np.ndarr
     return (xlogy(delta, beta) - xlogy(delta, delta)).sum(axis=-1) + xlogy(
         totals, totals
     ).sum(axis=-1)
-
-
-def _condition_matrix(
-    exponent_matrix: np.ndarray, term_blocks: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    rows = np.vstack([(term_blocks == 0).astype(float), exponent_matrix.T])
-    rhs = np.zeros(exponent_matrix.shape[1] + 1)
-    rhs[0] = 1.0
-    return rows, rhs
 
 
 def build_dual(gp: DeterministicGP) -> DualProblem:
@@ -212,8 +197,8 @@ class DualSolution:
     delta: tuple[float, ...]
     lam: tuple[float, ...]  # lambda_0 = 1 first
     dual_value: float
-    primal_x: tuple[float, ...] | None = None
-    diagnostics: GPDiagnostics | None = None
+    primal_x: tuple[float, ...]
+    diagnostics: GPDiagnostics
 
 
 def _feasible_interior_point(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -342,7 +327,10 @@ class DualStructure:
         self.term_blocks = np.asarray(term_blocks, dtype=int)
         self.n_constraints = n_constraints
         N, n = self.exponent_matrix.shape
-        self.A, self.rhs = _condition_matrix(self.exponent_matrix, self.term_blocks)
+        self.A = np.vstack(  # the normality row, then n orthogonality rows
+            [(self.term_blocks == 0).astype(float), self.exponent_matrix.T]
+        )
+        self.rhs = np.r_[1.0, np.zeros(n)]
         # (N, K + 1) 0/1 matrix: delta @ membership gives the block totals
         self._membership = (
             self.term_blocks[:, None] == np.arange(n_constraints + 1)
@@ -555,73 +543,20 @@ class DualStructure:
         ]
 
 
-def solve_dual(dual: DualProblem) -> DualSolution:
-    """Maximize V(delta) over the dual feasible set.
-
-    Degree-of-difficulty zero with a nonsingular condition matrix is
-    solved by one linear solve; a negative exact solution is reported as
-    InfeasibleDual rather than projected.  Otherwise the feasible affine
-    set is parametrized by its null space and log V (concave) is
-    maximized by damped Newton with backtracking, converging when the
-    reduced gradient norm drops to 1e-9.
-    """
-    structure = DualStructure.of(dual)
-    beta = dual.coefficients.reshape(1, -1)
-    outcomes: list = [None]
-    delta = structure._weights(beta, outcomes)
-    if outcomes[0] is not None:
-        raise outcomes[0]
-    with np.errstate(all="ignore"):
-        lam = delta @ structure._membership
-        log_v = _log_value(beta, delta, lam)
-    return DualSolution(
-        delta=tuple(delta[0].tolist()),
-        lam=(1.0, *lam[0, 1:].tolist()),
-        dual_value=float(np.exp(log_v[0])),
-    )
-
-
-def _solution_arrays(sol: DualSolution):
-    delta = np.asarray(sol.delta, dtype=float).reshape(1, -1)
-    lam = np.asarray(sol.lam, dtype=float).reshape(1, -1)
-    log_v = np.log(np.asarray([sol.dual_value], dtype=float))
-    return delta, lam, log_v
-
-
-def recover_primal(sol: DualSolution, gp: DeterministicGP) -> np.ndarray:
-    """Recover x* from the stationarity relations, in log space.
-
-    All rows with active weight are stacked (objective rows use the dual
-    value for the optimal objective) and solved by least squares; rows of
-    inactive constraint blocks are dropped.  RankDeficient is raised when
-    the stacked exponent rows cannot determine every variable.
-    """
-    dual = build_dual(gp)
-    structure = DualStructure.of(dual)
-    with np.errstate(all="ignore"):
-        active, targets = structure._recovery_system(
-            dual.coefficients.reshape(1, -1), *_solution_arrays(sol)
-        )
-        log_x, (failure,) = structure._recover(active, targets)
-    if failure is not None:
-        raise failure
-    return np.exp(log_x[0])
-
-
 def verify_solution(gp: DeterministicGP, sol: DualSolution) -> GPDiagnostics:
-    """Primal value, relative duality gap, constraint values and residuals."""
-    if sol.primal_x is None:
-        raise ValueError("solution carries no primal point to verify")
+    """Primal value, relative duality gap, constraint values and residuals
+    of any (delta, lambda, V, x), including one the solver did not produce."""
     dual = build_dual(gp)
     structure = DualStructure.of(dual)
     beta = dual.coefficients.reshape(1, -1)
-    delta, lam, log_v = _solution_arrays(sol)
-    x = np.asarray(sol.primal_x, dtype=float).reshape(1, -1)
+    delta = np.asarray([sol.delta], dtype=float)
+    lam = np.asarray([sol.lam], dtype=float)
+    dual_value = np.asarray([sol.dual_value], dtype=float)
+    x = np.asarray([sol.primal_x], dtype=float)
     with np.errstate(all="ignore"):
+        log_v = np.log(dual_value)
         active, targets = structure._recovery_system(beta, delta, lam, log_v)
-        (report,) = structure._verify(
-            beta, delta, np.asarray([sol.dual_value]), x, active, targets
-        )
+        (report,) = structure._verify(beta, delta, dual_value, x, active, targets)
     return report
 
 

@@ -385,6 +385,16 @@ class TestSweepCommand:
         assert main(["solve", path, *options]) == EXIT_DOMAIN
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("grid", ["0:1:1e-320", "0.1:0.9:1e-9"])
+    def test_oversized_range_is_a_domain_error(self, tmp_path, capsys, grid):
+        path = write_problem(tmp_path / "p.json", AMGM)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", path, "--gammas", grid, "-o", str(out)]) == EXIT_DOMAIN
+        assert capsys.readouterr().err == (
+            "error: gamma range must have at most 1000000 rows\n"
+        )
+        assert not out.exists()
+
     def test_missing_gammas_value_is_a_usage_error(self, tmp_path, capsys):
         path = write_problem(tmp_path / "p.json", AMGM)
         argv = ["sweep", path, "--gammas", "--criterion", "expected", "-o", "x.csv"]
@@ -466,6 +476,28 @@ class TestParser:
         assert main(["solve", path, "--gamma", "0.5"]) == EXIT_OK
         assert "wrote" not in capsys.readouterr().out
         assert list(tmp_path.iterdir()) == [tmp_path / "p.json"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "{path}", "--gamm", "-0.1,0.5", "-o", "{out}"],
+            ["sweep", "{path}", "--gamm=-0.1,0.5", "-o", "{out}"],
+            ["sweep", "{path}", "--gammas", "0.5", "--crit", "expected", "-o", "{out}"],
+            ["solve", "{path}", "--gam", "0.5", "-o", "{out}"],
+            ["reduce", "{path}", "--samp", "10", "-o", "{out}"],
+            ["tables", "--out", "{out}"],
+            ["--he"],
+        ],
+    )
+    def test_option_names_must_be_given_in_full(self, tmp_path, capsys, argv):
+        path = write_problem(tmp_path / "p.json", AMGM)
+        out = tmp_path / "out"
+        argv = [a.format(path=path, out=out) for a in argv]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == EXIT_PARSE
+        assert capsys.readouterr().err.startswith("usage: ugp")
+        assert not out.exists()
 
     def test_help_is_the_same_every_time(self, capsys):
         texts = []

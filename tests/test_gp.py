@@ -1,5 +1,7 @@
 """Posynomial GP dual method: construction, solving, recovery, verification."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,11 +12,10 @@ from ugp.errors import (
 )
 from ugp.gp import (
     DeterministicGP,
+    DualStructure,
     Posynomial,
     build_dual,
     degree_of_difficulty,
-    recover_primal,
-    solve_dual,
     solve_gp,
     verify_solution,
 )
@@ -77,7 +78,8 @@ class TestDegreeOfDifficulty:
 class TestBuildDual:
     def test_benchmark_conditions(self):
         dual = build_dual(bench_gp())
-        A, rhs = dual.condition_matrix()
+        structure = DualStructure.of(dual)
+        A, rhs = structure.A, structure.rhs
         np.testing.assert_allclose(
             A,
             [
@@ -91,31 +93,32 @@ class TestBuildDual:
         np.testing.assert_array_equal(dual.term_blocks, [0, 0, 0, 1])
 
     def test_single_term_objective(self):
-        dual = build_dual(DeterministicGP(Posynomial((4.2,), ((),))))
-        A, rhs = dual.condition_matrix()
+        structure = DualStructure.of(
+            build_dual(DeterministicGP(Posynomial((4.2,), ((),))))
+        )
+        A, rhs = structure.A, structure.rhs
         np.testing.assert_allclose(A, [[1.0]])
         np.testing.assert_allclose(rhs, [1.0])
 
     def test_two_term_one_variable(self):
-        dual = build_dual(AMGM_GP)
-        A, _ = dual.condition_matrix()
+        A = DualStructure.of(build_dual(AMGM_GP)).A
         np.testing.assert_allclose(A, [[1.0, 1.0], [1.0, -1.0]])
 
 
 class TestSolveDual:
     def test_benchmark_weights(self):
-        sol = solve_dual(build_dual(bench_gp()))
+        sol = solve_gp(bench_gp())
         np.testing.assert_allclose(sol.delta, [1 / 3, 1 / 3, 1 / 3, 2 / 3], atol=1e-10)
         assert sol.lam[0] == 1.0
         assert sol.lam[1] == pytest.approx(2 / 3, abs=1e-10)
 
     def test_single_term(self):
-        sol = solve_dual(build_dual(DeterministicGP(Posynomial((4.2,), ((),)))))
+        sol = solve_gp(DeterministicGP(Posynomial((4.2,), ((),))))
         assert sol.delta == (1.0,)
         assert sol.dual_value == pytest.approx(4.2, abs=1e-12)
 
     def test_amgm(self):
-        sol = solve_dual(build_dual(AMGM_GP))
+        sol = solve_gp(AMGM_GP)
         np.testing.assert_allclose(sol.delta, [0.5, 0.5], atol=1e-12)
         assert sol.dual_value == pytest.approx(2.0, abs=1e-12)
 
@@ -123,23 +126,23 @@ class TestSolveDual:
         # conditions force delta = (2, -1)
         gp = DeterministicGP(Posynomial((1.0, 1.0), ((1.0,), (2.0,))))
         with pytest.raises(InfeasibleDual):
-            solve_dual(build_dual(gp))
+            solve_gp(gp)
 
     def test_too_few_terms_rejected(self):
         gp = DeterministicGP(Posynomial((1.0,), ((1.0,),)))
         with pytest.raises(DegreeOfDifficultyNegative):
-            solve_dual(build_dual(gp))
+            solve_gp(gp)
 
     def test_contradictory_conditions_infeasible(self):
         # x + 2x: orthogonality needs delta1 + delta2 = 0, normality = 1
         gp = DeterministicGP(Posynomial((1.0, 2.0), ((1.0,), (1.0,))))
         with pytest.raises(InfeasibleDual):
-            solve_dual(build_dual(gp))
+            solve_gp(gp)
 
     def test_newton_path_degree_one(self):
         # min x + 1/x + 2: optimum 4 at x = 1, weights (1/4, 1/4, 1/2)
         gp = DeterministicGP(Posynomial((1.0, 1.0, 2.0), ((1.0,), (-1.0,), (0.0,))))
-        sol = solve_dual(build_dual(gp))
+        sol = solve_gp(gp)
         np.testing.assert_allclose(sol.delta, [0.25, 0.25, 0.5], atol=1e-8)
         assert sol.dual_value == pytest.approx(4.0, abs=1e-8)
 
@@ -188,9 +191,8 @@ class TestRecoverPrimal:
         gp = DeterministicGP(
             Posynomial((1.0, 1.0, 1.0), ((1.0, 1.0), (2.0, 2.0), (-1.0, -1.0)))
         )
-        sol = solve_dual(build_dual(gp))
         with pytest.raises(RankDeficient):
-            recover_primal(sol, gp)
+            solve_gp(gp)
 
 
 class TestVerify:
@@ -229,12 +231,24 @@ class TestVerify:
     def test_constraint_violation_flagged(self):
         gp = bench_gp()
         sol = solve_gp(gp)
-        from dataclasses import replace
-
         bad = replace(sol, primal_x=tuple(0.5 * v for v in sol.primal_x))
         diag = verify_solution(gp, bad)
         assert diag.violated_constraints == (1,)
         assert diag.gap_exceeds
+
+    def test_rescoring_a_solution_reproduces_its_diagnostics(self):
+        dod1 = DeterministicGP(Posynomial((1.0, 1.0, 2.0), ((1.0,), (-1.0,), (0.0,))))
+        rng = np.random.default_rng(2024)
+        cases = [(gp, solve_gp(gp)) for gp in (bench_gp(), AMGM_GP, dod1)]
+        cases += [random_dod0_gp(rng) for _ in range(25)]
+        for gp, sol in cases:
+            diag = verify_solution(gp, sol)
+            # log V is rebuilt from exp(log V), so only the stationarity
+            # residual may move, by rounding
+            assert replace(diag, linear_residual=0.0) == replace(
+                sol.diagnostics, linear_residual=0.0
+            )
+            assert abs(diag.linear_residual - sol.diagnostics.linear_residual) <= 1e-12
 
 
 def random_dod0_gp(rng):
