@@ -6,6 +6,7 @@ tests pin that the batch gives the same rows, the same failures in the
 same places and does the gamma-free work once.
 """
 
+import hashlib
 import json
 import math
 from collections import Counter
@@ -292,6 +293,106 @@ class TestWorkOncePerSweep:
         rows = sweep(DOD1_PROBLEM, [0.0, 1.0])
         assert all(isinstance(r, FailedRow) for r in rows)
         assert calls == {}
+
+
+def newton_problem(seed: int, dod: int, slack: bool) -> UncertainGPProblem:
+    """A seeded problem of degree of difficulty ``dod`` on the Newton path.
+
+    Every variable has a positive objective exponent and a ``c_j / x_j``
+    term in the binding block, so x* is bounded; with ``slack`` a block
+    ``c x_j <= 1`` with c near 1e-4 is added, which stays far below one
+    at x*.
+    """
+    rng = np.random.default_rng([seed, dod])
+    n = int(rng.integers(2, 7))
+    n_obj = dod + 1 - int(slack)
+    objective = rng.choice([0.0, 0.0, 0.5, 1.0, 2.0], (n_obj, n))
+    for j in np.flatnonzero(~(objective > 0).any(axis=0)):
+        objective[j % n_obj, j] = 1.0
+
+    def terms(rows, low, high):
+        out = []
+        for row in rows:
+            value = float(np.exp(rng.uniform(np.log(low), np.log(high))))
+            theta_l, theta_r = (float(t) for t in rng.uniform(0.1, 0.9, 2))
+            coefficient = TwoFoldVariable.triangular(
+                0.8 * value, value, 1.3 * value, theta_l, theta_r
+            )
+            out.append(UncertainTerm(coefficient, tuple(float(e) for e in row)))
+        return tuple(out)
+
+    blocks = [terms(-np.eye(n), 0.5, 5.0)]
+    if slack:
+        blocks.append(terms(np.eye(n)[[int(rng.integers(n))]], 1e-4, 2e-4))
+    return UncertainGPProblem(
+        objective=terms(objective, 1.0, 20.0), constraints=tuple(blocks)
+    )
+
+
+# The slack, higher-difficulty and infeasible probes of the dual Newton
+# path, as crisp problems: min x + 1/x s.t. 0.01 x <= 1; min x + y s.t.
+# 1/(xy) <= 1, 0.001 x <= 1; the same with a term xy in the objective
+# (degree of difficulty 2); min x + 1/x s.t. 2 <= 1; min x + 1/x s.t.
+# x + 1/x <= 1.
+NEWTON_PROBES = [
+    problem([(crisp(1.0), (1.0,)), (crisp(1.0), (-1.0,))], [[(crisp(0.01), (1.0,))]]),
+    problem(
+        [(crisp(1.0), (1.0, 0.0)), (crisp(1.0), (0.0, 1.0))],
+        [[(crisp(1.0), (-1.0, -1.0))], [(crisp(0.001), (1.0, 0.0))]],
+    ),
+    problem(
+        [(crisp(1.0), (1.0, 0.0)), (crisp(1.0), (0.0, 1.0)), (crisp(1.0), (1.0, 1.0))],
+        [[(crisp(1.0), (-1.0, -1.0))], [(crisp(0.001), (1.0, 0.0))]],
+    ),
+    problem([(crisp(1.0), (1.0,)), (crisp(1.0), (-1.0,))], [[(crisp(2.0), (0.0,))]]),
+    problem(
+        [(crisp(1.0), (1.0,)), (crisp(1.0), (-1.0,))],
+        [[(crisp(1.0), (1.0,)), (crisp(1.0), (-1.0,))]],
+    ),
+]
+NEWTON_SWEEPS = (
+    [(newton_problem(7, dod, False), [0.25, 0.75]) for dod in range(1, 41, 3)]
+    + [(newton_problem(7, dod, True), [0.25, 0.75]) for dod in (1, 13, 40)]
+    + [(probe, [0.5]) for probe in NEWTON_PROBES]
+)
+
+
+class TestNewtonPathIsPinned:
+    """Every output, failure and log V evaluation of the Newton path, pinned
+    so that a change to the line search cannot move the iterates."""
+
+    # sha256 of the reprs of every row (SweepRow fields with diagnostics,
+    # FailedRow class and message) of NEWTON_SWEEPS, in order
+    DIGEST = "77a87fd77306f13f0a5da958e3a31a19feaf81fd39c654900b7c49ce86acd278"
+    # DualProblem.log_value calls of each Newton solve, in solve order
+    LOG_VALUE_CALLS = [
+        42, 5, 6, 6, 8, 8, 312, 12, 9, 10, 11, 11, 10, 10,  # binding, DoD 1-40
+        10, 11, 9, 10, 13, 14, 14, 13, 18, 18, 14, 14, 13, 12,
+        104, 99, 88, 94, 104, 97,  # slack, DoD 1, 13, 40
+        112, 100, 94, 501, 501,  # the probes
+    ]
+
+    def test_outputs_and_log_value_calls(self, monkeypatch):
+        solves: list[list] = []  # [problem, call count] per Newton solve
+        weights_in_domain: list[bool] = []
+        original = ugp.gp.DualProblem.log_value
+
+        def counting(self, delta):
+            if not solves or solves[-1][0] is not self:
+                solves.append([self, 0])
+            solves[-1][1] += 1
+            weights_in_domain.append(bool(np.all(delta > 1e-300)))
+            return original(self, delta)
+
+        monkeypatch.setattr(ugp.gp.DualProblem, "log_value", counting)
+        text = "\n".join(
+            repr(row)
+            for uncertain_problem, gammas in NEWTON_SWEEPS
+            for row in sweep(uncertain_problem, gammas)
+        )
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGEST
+        assert [count for _, count in solves] == self.LOG_VALUE_CALLS
+        assert weights_in_domain and all(weights_in_domain)
 
 
 CRITERIA = {
