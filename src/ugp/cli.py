@@ -57,7 +57,7 @@ from .twofold import ReductionCriterion, TwoFoldVariable, curve_samples
 _FAMILIES = {"tri": "triangular", "tra": "trapezoidal"}
 _NUMBER_OPTIONS = ("--gamma", "--gammas", "--alpha")
 _NEGATIVE = re.compile(r"-(?:[\d.]|inf|nan)", re.IGNORECASE)  # a value, not an option
-_MAX_GAMMA_ROWS = 1_000_000  # ~1,000x the longest grid the tests or benchmark run
+_MAX_ROWS = 1_000_000  # per gamma grid or reduce curve: ~1,000x the longest run
 
 
 def _fmt(value: float) -> str:
@@ -262,8 +262,8 @@ def _parse_gammas(text: str) -> list[float]:
         if step <= 0:
             raise ValueError("gamma range step must be positive")
         count = (stop - start) / step  # inf when the step underflows the range
-        if count >= _MAX_GAMMA_ROWS:
-            raise ValueError(f"gamma range must have at most {_MAX_GAMMA_ROWS} rows")
+        if count >= _MAX_ROWS:
+            raise ValueError(f"gamma range must have at most {_MAX_ROWS} rows")
         grid = []
         for i in range(int(round(count)) + 1):
             g = start + i * step
@@ -358,6 +358,8 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     criterion = _criterion_from_args(args)
     if args.samples < 2:
         raise ValueError("--samples must be at least 2")
+    if args.samples > _MAX_ROWS:
+        raise ValueError(f"--samples must be at most {_MAX_ROWS}")
 
     header: list[str] = []
     columns: list[list[float]] = []

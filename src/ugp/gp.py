@@ -13,7 +13,9 @@ block k.  log V is concave, so:
 * at degree of difficulty zero (N = n + 1) the conditions fix the weights
   outright and a single linear solve suffices;
 * otherwise the feasible affine set is parametrized by its null space and
-  log V is maximized by damped Newton with backtracking.
+  log V is maximized by damped Newton with backtracking; each search starts
+  at the first halving that keeps every weight above 1e-300 (closed form,
+  rounded down), so the iterates are those of plain halving from tau = 1.
 
 The primal minimizer is recovered from the log-linear stationarity
 relations linking delta, the dual value and the exponents.
@@ -236,6 +238,16 @@ def _feasible_interior_point(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return res.x[:-1]
 
 
+def _first_halving(delta: np.ndarray, direction: np.ndarray) -> int:
+    """floor(-log2 r) for the least r = (delta_i - floor) / -direction_i over
+    falling weights: one step before the first halving that keeps every
+    weight above the floor in exact arithmetic, so rounding cannot pass it."""
+    with np.errstate(all="ignore"):
+        ratios = (_LINE_SEARCH_FLOOR - delta) / direction
+    m, e = math.frexp(ratios.min(where=direction < 0.0, initial=math.inf))
+    return max(0, (m == 0.5) - e)  # r = m 2**e with 0.5 <= m < 1
+
+
 def _newton_max_log_value(
     dual: DualProblem, start: np.ndarray, basis: np.ndarray
 ) -> np.ndarray:
@@ -279,9 +291,10 @@ def _newton_max_log_value(
             direction = basis @ g_red  # fall back to steepest ascent
             step = g_red
 
-        tau = 1.0
+        k0 = _first_halving(delta, direction)  # every earlier step fails the floor
+        tau = math.ldexp(1.0, -k0)
         slope = float(g_red @ step)
-        for _ in range(200):
+        for _ in range(k0, 200):
             trial = delta + tau * direction
             if np.all(trial > _LINE_SEARCH_FLOOR):
                 value = dual.log_value(trial)

@@ -230,6 +230,34 @@ class TestReduceCommand:
         assert x == pytest.approx(3.0, abs=1e-12)
         assert value == pytest.approx(0.175, abs=1e-12)
 
+    @pytest.mark.parametrize("samples", ["1000001", str(10**18)])
+    def test_oversized_sample_count_is_a_domain_error(
+        self, tmp_path, capsys, monkeypatch, samples
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("curve_samples ran")
+
+        monkeypatch.setattr(ugp.cli, "curve_samples", never)
+        path = write_problem(tmp_path / "p.json", SINGLE_TRI)
+        out = tmp_path / "curves.csv"
+        argv = ["reduce", path, "-o", str(out), "--samples", samples]
+        assert main(argv) == EXIT_DOMAIN
+        assert capsys.readouterr().err == "error: --samples must be at most 1000000\n"
+        assert not out.exists()
+
+    def test_sample_count_at_the_cap_is_accepted(self, tmp_path, monkeypatch):
+        seen = []
+
+        def two_points(tf, criteria, samples):  # stands in for the 1e6-point grid
+            seen.append(samples)
+            return [0.0, 1.0], [[0.0, 1.0]]
+
+        monkeypatch.setattr(ugp.cli, "curve_samples", two_points)
+        path = write_problem(tmp_path / "p.json", SINGLE_TRI)
+        out = str(tmp_path / "curves.csv")
+        assert main(["reduce", path, "-o", out, "--samples", "1000000"]) == EXIT_OK
+        assert seen == [1_000_000]
+
     def test_zero_theta_curve_equals_base_cdf(self, tmp_path):
         doc = json.loads(json.dumps(SINGLE_TRI))
         doc["objective"][0]["theta_l"] = 0

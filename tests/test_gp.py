@@ -1,5 +1,7 @@
 """Posynomial GP dual method: construction, solving, recovery, verification."""
 
+import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +14,7 @@ from ugp.errors import (
 )
 from ugp.gp import (
     DeterministicGP,
+    _first_halving,
     DualStructure,
     Posynomial,
     build_dual,
@@ -290,3 +293,119 @@ class TestGridSearchOracle:
             assert sol.diagnostics.primal_objective == pytest.approx(
                 oracle, rel=5e-3
             )
+
+
+FLOOR = 1e-300  # the line search keeps every weight above this
+
+
+def halving_search(delta, direction, k0=0):
+    """Backtracking as the Newton line search runs it, from tau = 2**-k0:
+    the first (k, tau) with k < 200 whose step keeps every weight above the
+    floor, or None for a stalled search."""
+    tau = math.ldexp(1.0, -k0)
+    with np.errstate(all="ignore"):
+        for k in range(k0, 200):
+            if np.all(delta + tau * direction > FLOOR):
+                return k, tau
+            tau *= 0.5
+    return None
+
+
+def ulp_neighbours(x):
+    return [np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)]
+
+
+def adversarial_cases():
+    one = np.array([1.0])
+    # all weights rise or stay
+    yield np.array([0.5, 2.0, 1e-3]), np.array([0.0, 1.0, 3.0])
+    yield np.array([0.5, 2.0]), np.array([np.inf, 0.0])
+    # ratios exactly 2**-j and their neighbouring doubles, through delta
+    # and through the direction; -nextafter(2**j, 0) puts the first
+    # feasible step exactly at tau = r
+    for j in range(0, 64):
+        for d in ulp_neighbours(2.0**j):
+            yield one, np.array([-d])
+            yield np.array([0.7, 1.0]), np.array([3.0, -d])
+        for x in ulp_neighbours(2.0**-j + FLOOR):
+            yield np.array([x]), np.array([-1.0])
+        for x in ulp_neighbours(0.75 * 2.0**-j):
+            yield np.array([x, 1.0]), np.array([-0.75, -2.0**j])
+    for j in (0, 1, 10, 199):  # see test_ratio_rounded_onto_a_power_of_two
+        for x in ulp_neighbours(2.0**-944):
+            yield np.array([x, 1.0]), np.array([-math.ldexp(1.0, j - 944), -0.5])
+    # a weight one ulp above the floor, falling, rising or held
+    tight = np.nextafter(FLOOR, 1.0)
+    for d in (-1.0, -1e-300, -1e-316, 0.0, 1.0, -np.inf):
+        yield np.array([tight, 1.0]), np.array([d, -1.0])
+        yield np.array([tight, FLOOR * 2.0]), np.array([d, -FLOOR])
+    # signed zeros, infinities and NaN in the direction
+    for d in (
+        [-0.0, -0.0],
+        [-0.0, -1.0],
+        [np.inf, -1.0],
+        [-np.inf, 1.0],
+        [np.nan, -1.0],
+        [np.nan, np.nan],
+        [np.nan, -np.inf],
+    ):
+        yield np.array([1.0, 0.25]), np.array(d)
+    # magnitudes of 1e+-300 in both
+    big = (1e300, -1e300, 1e-300, -1e-300)
+    for a in (1e300, 1e-299, 1.0):
+        for d in big:
+            yield np.array([a, 0.5]), np.array([d, -1.0])
+            yield np.array([a]), np.array([d])
+    # weights at or below the floor, as an out-of-domain start could have
+    yield np.array([0.0, 1.0]), np.array([1.0, -1.0])
+    yield np.array([FLOOR, 1.0]), np.array([-1.0, -1.0])
+    yield np.array([-1e-9, 1.0]), np.array([1e-3, -0.5])
+    # the first feasible step lies at k >= 200: the search stalls
+    for j in (199, 200, 201, 250, 1000):
+        yield one, np.array([-math.ldexp(1.0, j)])
+    yield np.array([2.0 * FLOOR]), np.array([-1e300])
+
+
+def random_cases(rng, count):
+    for _ in range(count):
+        size = int(rng.integers(1, 9))
+        delta = np.exp(rng.uniform(math.log(1e-299), math.log(1e3), size))
+        direction = rng.normal(size=size) * 10.0 ** rng.uniform(-5.0, 5.0, size)
+        yield delta, direction
+
+
+class TestFirstHalving:
+    """The closed-form start of the Newton line search against plain halving."""
+
+    @staticmethod
+    def check(delta, direction):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            k0 = _first_halving(delta, direction)
+        assert isinstance(k0, int) and k0 >= 0
+        brute = halving_search(delta, direction)
+        if brute is not None:
+            assert k0 <= brute[0]
+        assert halving_search(delta, direction, k0) == brute
+        return k0, brute
+
+    def test_adversarial_cases(self):
+        for delta, direction in adversarial_cases():
+            self.check(delta, direction)
+
+    def test_ratio_rounded_onto_a_power_of_two(self):
+        # delta - floor = 2**-944 + 0.49e-300 rounds down to 2**-944, so r
+        # is exactly 2**-j although the step tau = 2**-j already leaves
+        # 2**-996 = 1.49e-300 > floor: the first feasible k is
+        # floor(-log2 r), one less than exact arithmetic on r gives
+        for j in range(200):
+            delta = np.array([np.nextafter(2.0**-944, 1.0)])
+            k0, brute = self.check(delta, np.array([-math.ldexp(1.0, j - 944)]))
+            assert k0 == brute[0] == j
+
+    def test_random_cases_start_at_most_two_steps_early(self):
+        rng = np.random.default_rng(12)
+        for delta, direction in random_cases(rng, 600):
+            k0, brute = self.check(delta, direction)
+            if brute is not None:
+                assert brute[0] - k0 <= 2
