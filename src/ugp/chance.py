@@ -208,7 +208,6 @@ def _dual_structure(reduced: ReducedGPProblem) -> DualStructure:
             len(exponents), reduced.n_variables
         ),
         term_blocks=np.repeat(np.arange(len(blocks)), [len(b) for b in blocks]),
-        n_constraints=len(reduced.constraints),
     )
 
 

@@ -72,10 +72,11 @@ def _fmt(value: float) -> str:
 def load_problem(path: str | Path) -> tuple[list[str], UncertainGPProblem]:
     """Parse a JSON problem file into variable names and the problem.
 
-    Schema violations raise ProblemFormatError; value violations (params
-    not increasing, thetas outside [0, 1], ...) surface as ValueError
-    from the domain constructors.  JSON's NaN and Infinity are rejected
-    with a ValueError naming the field.
+    Schema violations, a boolean where a number belongs among them, raise
+    ProblemFormatError; value violations (params not increasing, thetas
+    outside [0, 1], ...) surface as ValueError from the domain
+    constructors.  JSON's NaN and Infinity are rejected with a ValueError
+    naming the field.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -111,12 +112,13 @@ def load_problem(path: str | Path) -> tuple[list[str], UncertainGPProblem]:
                 f"got {record['family']!r}"
             )
         params = record["params"]
+        # type(), not isinstance(): JSON true/false load as bool, an int subclass
         if not isinstance(params, list) or not all(
-            isinstance(p, (int, float)) for p in params
+            type(p) in (int, float) for p in params
         ):
             raise ProblemFormatError(f"{where}: field 'params' must be a number list")
         for key in ("theta_l", "theta_r"):
-            if not isinstance(record[key], (int, float)):
+            if type(record[key]) not in (int, float):
                 raise ProblemFormatError(f"{where}: field '{key}' must be a number")
         exponents = record["exponents"]
         if not isinstance(exponents, dict):
@@ -129,7 +131,7 @@ def load_problem(path: str | Path) -> tuple[list[str], UncertainGPProblem]:
                 raise ProblemFormatError(
                     f"{where}: exponent key {name!r} is not a declared variable"
                 )
-            if not isinstance(power, (int, float)):
+            if type(power) not in (int, float):
                 raise ProblemFormatError(
                     f"{where}: exponent for {name!r} must be a number"
                 )

@@ -54,6 +54,7 @@ __all__ = [
 
 
 _SQRT2 = math.sqrt(2.0)
+_REGULARITY_SLACK = 1e-12  # check_regularity ignores decreases up to this
 
 
 def _require_alpha_open(alpha: float | None, name: str = "alpha") -> float:
@@ -551,12 +552,11 @@ class RegularityReport:
 def check_regularity(
     ud: Distribution,
     grid_points: int = 10_000,
-    slack: float = 1e-12,
     max_reported: int = 10,
 ) -> RegularityReport:
     """Sample the UD on a uniform grid over [lo - 1, hi + 1] and flag decreases.
 
-    A decrease larger than ``slack`` between consecutive grid points is a
+    A decrease larger than 1e-12 between consecutive grid points is a
     violation; up to ``max_reported`` of them are listed.  Boundary values
     at the support endpoints are reported as well.  The piecewise form of
     the UD is sampled, grid and endpoints in one array call.
@@ -571,7 +571,7 @@ def check_regularity(
     values = pw.cdf(np.append(xs, (lo, hi)))
     drops = values[: grid_points - 1] - values[1:grid_points]
     rises = drops[drops > 0.0]
-    bad = np.flatnonzero(drops > slack)[:max_reported]
+    bad = np.flatnonzero(drops > _REGULARITY_SLACK)[:max_reported]
     return RegularityReport(
         passed=not bad.size,
         max_decrease=float(rises.max()) if rises.size else 0.0,

@@ -13,16 +13,17 @@ block k.  log V is concave, so:
 * at degree of difficulty zero (N = n + 1) the conditions fix the weights
   outright and a single linear solve suffices;
 * otherwise the feasible affine set is parametrized by its null space and
-  log V is maximized by damped Newton with backtracking; each search starts
+  log V is maximized by damped Newton with backtracking, whose gradient and
+  Hessian read the block map of the DualStructure below; each search starts
   at the first halving that keeps every weight above 1e-300 (closed form,
   rounded down), so the iterates are those of plain halving from tau = 1.
 
 The primal minimizer is recovered from the log-linear stationarity
 relations linking delta, the dual value and the exponents.
 
-Everything that depends only on the exponents -- the conditions, the
-degree-zero weights, the Newton start, the recovery rank checks -- lives
-in a DualStructure, which solves any number of coefficient rows in one
+Everything that depends only on the exponents -- the conditions, the block
+map, the degree-zero weights, the Newton start, the recovery rank checks --
+lives in a DualStructure, which solves any number of coefficient rows in one
 batch; solve_gp is a batch of one.
 """
 
@@ -136,14 +137,6 @@ class DualProblem:
     term_blocks: np.ndarray  # (N,) int, 0 for objective, k for constraint k
     n_constraints: int
 
-    @property
-    def n_terms(self) -> int:
-        return int(self.coefficients.shape[0])
-
-    @property
-    def n_variables(self) -> int:
-        return int(self.exponent_matrix.shape[1])
-
     def block_totals(self, delta: np.ndarray) -> np.ndarray:
         """lambda_k = sum of weights in block k, for k = 0..K."""
         totals = np.zeros(self.n_constraints + 1)
@@ -248,69 +241,6 @@ def _first_halving(delta: np.ndarray, direction: np.ndarray) -> int:
     return max(0, (m == 0.5) - e)  # r = m 2**e with 0.5 <= m < 1
 
 
-def _newton_max_log_value(
-    dual: DualProblem, start: np.ndarray, basis: np.ndarray
-) -> np.ndarray:
-    """Damped Newton on log V over start + span(basis), start strictly positive."""
-    delta = start
-    if basis.shape[1] == 0:
-        return delta  # conditions pin delta down; nothing to optimize
-
-    blocks = dual.term_blocks
-    beta = dual.coefficients
-
-    def gradient(d: np.ndarray) -> np.ndarray:
-        lam = dual.block_totals(d)
-        g = np.log(beta) - np.log(d)
-        g[blocks == 0] -= 1.0
-        constrained = blocks >= 1
-        g[constrained] += np.log(lam[blocks[constrained]])
-        return g
-
-    def hessian(d: np.ndarray) -> np.ndarray:
-        lam = dual.block_totals(d)
-        H = np.diag(-1.0 / d)
-        for k in range(1, dual.n_constraints + 1):
-            members = np.flatnonzero(blocks == k)
-            if members.size and lam[k] > 0.0:
-                H[np.ix_(members, members)] += 1.0 / lam[k]
-        return H
-
-    current = dual.log_value(delta)
-    for _ in range(_MAX_NEWTON_ITER):
-        g_red = basis.T @ gradient(delta)
-        if np.linalg.norm(g_red) <= _GRAD_TOL:
-            return delta
-        H_red = basis.T @ hessian(delta) @ basis
-        try:
-            step = np.linalg.solve(H_red, -g_red)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(H_red, -g_red, rcond=None)[0]
-        direction = basis @ step
-        if g_red @ step <= 0.0:
-            direction = basis @ g_red  # fall back to steepest ascent
-            step = g_red
-
-        k0 = _first_halving(delta, direction)  # every earlier step fails the floor
-        tau = math.ldexp(1.0, -k0)
-        slope = float(g_red @ step)
-        for _ in range(k0, 200):
-            trial = delta + tau * direction
-            if np.all(trial > _LINE_SEARCH_FLOOR):
-                value = dual.log_value(trial)
-                if value >= current + 1e-4 * tau * slope:
-                    delta, current = trial, value
-                    break
-            tau *= 0.5
-        else:
-            raise NonConvergence(
-                "line search stalled while maximizing the dual objective"
-            )
-    raise NonConvergence(
-        f"dual maximization did not converge in {_MAX_NEWTON_ITER} Newton steps"
-    )
-
-
 class DualStructure:
     """The exponent-only part of a GP's dual, shared by every coefficient row.
 
@@ -319,6 +249,8 @@ class DualStructure:
     shares this work:
 
     * the condition matrix and its right-hand side;
+    * the block membership matrix, from which each row's block totals and
+      Newton gradient and Hessian are read;
     * at degree of difficulty zero, the exact weights, or the verdict that
       the dual method cannot proceed (too few terms, negative weights);
     * otherwise the phase-I interior point and the null-space basis that
@@ -333,12 +265,10 @@ class DualStructure:
     set, and verification.
     """
 
-    def __init__(
-        self, exponent_matrix: np.ndarray, term_blocks: np.ndarray, n_constraints: int
-    ) -> None:
+    def __init__(self, exponent_matrix: np.ndarray, term_blocks: np.ndarray) -> None:
         self.exponent_matrix = np.asarray(exponent_matrix, dtype=float)
         self.term_blocks = np.asarray(term_blocks, dtype=int)
-        self.n_constraints = n_constraints
+        self.n_constraints = int(self.term_blocks.max(initial=0))  # blocks 0..K
         N, n = self.exponent_matrix.shape
         self.A = np.vstack(  # the normality row, then n orthogonality rows
             [(self.term_blocks == 0).astype(float), self.exponent_matrix.T]
@@ -346,7 +276,7 @@ class DualStructure:
         self.rhs = np.r_[1.0, np.zeros(n)]
         # (N, K + 1) 0/1 matrix: delta @ membership gives the block totals
         self._membership = (
-            self.term_blocks[:, None] == np.arange(n_constraints + 1)
+            self.term_blocks[:, None] == np.arange(self.n_constraints + 1)
         ).astype(float)
         self._newton_start: tuple[np.ndarray, np.ndarray] | None = None
         self._recovery: dict[bytes, tuple | RankDeficient] = {}
@@ -374,7 +304,7 @@ class DualStructure:
 
     @classmethod
     def of(cls, dual: DualProblem) -> DualStructure:
-        return cls(dual.exponent_matrix, dual.term_blocks, dual.n_constraints)
+        return cls(dual.exponent_matrix, dual.term_blocks)
 
     @property
     def n_terms(self) -> int:
@@ -440,11 +370,8 @@ class DualStructure:
             if isinstance(start, Exception):
                 outcomes[g] = start
                 continue
-            dual = DualProblem(
-                row, self.exponent_matrix, self.term_blocks, self.n_constraints
-            )
             try:
-                delta[g] = _newton_max_log_value(dual, *start)
+                delta[g] = self._newton(row, *start)
             except (ValueError, RuntimeError) as exc:
                 outcomes[g] = exc
         return delta
@@ -460,6 +387,55 @@ class DualStructure:
             else:
                 self._newton_start = (point, null_space(self.A))
         return self._verdict or self._newton_start
+
+    def _newton(
+        self, beta: np.ndarray, start: np.ndarray, basis: np.ndarray
+    ) -> np.ndarray:
+        """Damped Newton on one row's log V over start + span(basis), start
+        strictly positive; gradient and Hessian read the block membership."""
+        if basis.shape[1] == 0:
+            return start  # conditions pin delta down; nothing to optimize
+        dual = DualProblem(
+            beta, self.exponent_matrix, self.term_blocks, self.n_constraints
+        )
+        log_beta = np.log(beta)
+        members = self._membership[:, 1:]
+        delta, current = start, dual.log_value(start)
+        for _ in range(_MAX_NEWTON_ITER):
+            totals = dual.block_totals(delta)[1:]
+            shift = np.r_[-1.0, np.log(totals)]
+            g_red = basis.T @ (log_beta - np.log(delta) + shift[self.term_blocks])
+            if np.linalg.norm(g_red) <= _GRAD_TOL:
+                return delta
+            hessian = (members / totals) @ members.T - np.diag(1.0 / delta)
+            H_red = basis.T @ hessian @ basis
+            try:
+                step = np.linalg.solve(H_red, -g_red)
+            except np.linalg.LinAlgError:
+                step = np.linalg.lstsq(H_red, -g_red, rcond=None)[0]
+            direction = basis @ step
+            if g_red @ step <= 0.0:
+                direction = basis @ g_red  # fall back to steepest ascent
+                step = g_red
+
+            k0 = _first_halving(delta, direction)  # every earlier step fails the floor
+            tau = math.ldexp(1.0, -k0)
+            slope = float(g_red @ step)
+            for _ in range(k0, 200):
+                trial = delta + tau * direction
+                if np.all(trial > _LINE_SEARCH_FLOOR):
+                    value = dual.log_value(trial)
+                    if value >= current + 1e-4 * tau * slope:
+                        delta, current = trial, value
+                        break
+                tau *= 0.5
+            else:
+                raise NonConvergence(
+                    "line search stalled while maximizing the dual objective"
+                )
+        raise NonConvergence(
+            f"dual maximization did not converge in {_MAX_NEWTON_ITER} Newton steps"
+        )
 
     def _recovery_system(
         self, beta: np.ndarray, delta: np.ndarray, lam: np.ndarray, log_v: np.ndarray

@@ -126,6 +126,29 @@ class TestProblemFiles:
         assert f"field '{field}' must be finite" in message
         assert "rank" not in message  # the solver is never reached
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("params", [True, 2, 3]),
+            ("params", [0.5, True, 1.5]),
+            ("theta_l", True),
+            ("theta_r", False),
+            ("exponents", {"x": True}),
+        ],
+    )
+    def test_booleans_are_not_numbers(self, tmp_path, capsys, field, value):
+        # JSON true/false load as Python bools, which are ints
+        doc = json.loads(json.dumps(AMGM))
+        doc["objective"][1][field] = value
+        path = write_problem(tmp_path / "p.json", doc)
+        with pytest.raises(ProblemFormatError, match=r"^objective\[1\]: .*a number"):
+            load_problem(path)
+        out = tmp_path / "sweep.csv"
+        assert main(["solve", path, "--gamma", "0.5"]) == EXIT_PARSE
+        assert main(["sweep", path, "--gammas", "0.5", "-o", str(out)]) == EXIT_PARSE
+        assert not out.exists()
+        assert "must be a number" in capsys.readouterr().err
+
 
 # min x + 1/x with both coefficients near 1.2e308: the optimum 2.4e308
 # overflows double precision
