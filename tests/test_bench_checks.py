@@ -10,6 +10,7 @@ layers that the benchmark's per-layer metrics name, so that a rename in
 whose rows the dual Newton cannot yet solve is an expected failure.
 """
 
+import hashlib
 import importlib
 import json
 import subprocess
@@ -64,6 +65,21 @@ def test_binding_problem_of_degree_49_solves_every_row(bench, tmp_path):
     rows = wl.run(wl.input((1, 388)))
     assert len(rows) == 4
     assert all(isinstance(row, SweepRow) for row in rows), rows
+
+
+# sha256 of the reprs of every row (SweepRow with diagnostics, or FailedRow)
+# of dod-sweep seed 1, round 0 -- ops 0-24: 20 binding problems and the 5
+# slack-corpus problems -- in op order
+ROUND_0_DIGEST = "b9517520fc25a88c1964465ebbb6a660d9ffff91d9ed43576caa258376acc4d8"
+
+
+def test_dod_sweep_round_0_rows_are_pinned(bench, tmp_path):
+    _, workloads = bench
+    wl = workloads.DodSweep(1, tmp_path)
+    rows = [row for i in range(wl.round) for row in wl.run(wl.input(wl.key(i)))]
+    assert len(rows) == wl.round * wl.units
+    text = "\n".join(map(repr, rows))
+    assert hashlib.sha256(text.encode()).hexdigest() == ROUND_0_DIGEST
 
 
 TRACED_PASSES = """
