@@ -263,6 +263,8 @@ def _parse_gammas(text: str) -> list[float]:
             raise ValueError("gamma range start, stop and step must be finite")
         if step <= 0:
             raise ValueError("gamma range step must be positive")
+        if stop < start:
+            raise ValueError("gamma range stop must not be below start")
         count = (stop - start) / step  # inf when the step underflows the range
         if count >= _MAX_ROWS:
             raise ValueError(f"gamma range must have at most {_MAX_ROWS} rows")

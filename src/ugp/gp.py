@@ -76,11 +76,19 @@ class Posynomial:
             raise ValueError("a posynomial needs at least one term")
         if len(self.exponents) != len(self.coefficients):
             raise ValueError("one exponent vector per coefficient required")
+        if not all(map(math.isfinite, self.coefficients)):
+            raise ValueError(
+                f"posynomial coefficients must be finite, got {self.coefficients}"
+            )
         if any(c <= 0 for c in self.coefficients):
             raise ValueError("posynomial coefficients must be positive")
         widths = {len(row) for row in self.exponents}
         if len(widths) > 1:
             raise ValueError("all exponent vectors must have equal length")
+        if not all(math.isfinite(e) for row in self.exponents for e in row):
+            raise ValueError(
+                f"posynomial exponents must be finite, got {self.exponents}"
+            )
 
     @property
     def n_terms(self) -> int:
@@ -138,10 +146,9 @@ class DualProblem:
     n_constraints: int
 
     def block_totals(self, delta: np.ndarray) -> np.ndarray:
-        """lambda_k = sum of weights in block k, for k = 0..K."""
-        totals = np.zeros(self.n_constraints + 1)
-        np.add.at(totals, self.term_blocks, delta)
-        return totals
+        """lambda_k = sum of weights in block k, for k = 0..K, by one
+        bincount: each block's weights are added in term order from 0.0."""
+        return np.bincount(self.term_blocks, delta, self.n_constraints + 1)
 
     def log_value(self, delta: np.ndarray) -> float:
         """log V(delta) with the continuous extension 0 * log(.) = 0."""
@@ -400,14 +407,16 @@ class DualStructure:
         )
         log_beta = np.log(beta)
         members = self._membership[:, 1:]
+        shift = np.r_[-1.0, np.empty(self.n_constraints)]  # (-1, log lambda_k)
         delta, current = start, dual.log_value(start)
         for _ in range(_MAX_NEWTON_ITER):
             totals = dual.block_totals(delta)[1:]
-            shift = np.r_[-1.0, np.log(totals)]
+            np.log(totals, out=shift[1:])
             g_red = basis.T @ (log_beta - np.log(delta) + shift[self.term_blocks])
             if np.linalg.norm(g_red) <= _GRAD_TOL:
                 return delta
-            hessian = (members / totals) @ members.T - np.diag(1.0 / delta)
+            hessian = (members / totals) @ members.T
+            hessian.reshape(-1)[:: self.n_terms + 1] -= 1.0 / delta  # the diagonal
             H_red = basis.T @ hessian @ basis
             try:
                 step = np.linalg.solve(H_red, -g_red)
@@ -423,7 +432,7 @@ class DualStructure:
             slope = float(g_red @ step)
             for _ in range(k0, 200):
                 trial = delta + tau * direction
-                if np.all(trial > _LINE_SEARCH_FLOOR):
+                if trial.min() > _LINE_SEARCH_FLOOR:
                     value = dual.log_value(trial)
                     if value >= current + 1e-4 * tau * slope:
                         delta, current = trial, value

@@ -30,6 +30,7 @@ strictly increasing on its support.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -79,6 +80,8 @@ class TwoFoldVariable:
                 f"{self.family} family takes {expected_len} parameters, "
                 f"got {len(self.params)}"
             )
+        if not all(map(math.isfinite, self.params)):
+            raise ValueError(f"family parameters must be finite, got {self.params}")
         for left, right in zip(self.params, self.params[1:]):
             if not left < right:
                 raise ValueError(

@@ -2,12 +2,15 @@
 
 One short pass of each workload in ``bench/`` goes through the benchmark's
 loop, its ``check`` and its ``deep_check``; no unit may fail except as a
-failed row, which is a result the program reports.  dod-sweep runs only
-the binding problems of its first round (ops 0-3): each op with a slack
-block takes seconds.  Traced, the same passes must record calls in four
-layers that the benchmark's per-layer metrics name, so that a rename in
-``ugp`` cannot silently break the tracer.  One well-posed dod-sweep problem
-whose rows the dual Newton cannot yet solve is an expected failure.
+failed row, which is a result the program reports.  dod-sweep runs ops
+0-4: four binding problems and one problem with a slack block, whose four
+rows fail with NonConvergence, so the failed-row path of the checks runs
+too.  The rows of dod-sweep's whole first round (ops 0-24) are pinned by
+hash.  Traced, the same passes (dod-sweep: its binding ops 0-3) must
+record calls in four layers that the benchmark's per-layer metrics name,
+so that a rename in ``ugp`` cannot silently break the tracer.  One
+well-posed dod-sweep problem whose rows the dual Newton cannot yet solve
+is an expected failure.
 """
 
 import hashlib
@@ -38,19 +41,25 @@ def test_one_pass_passes_the_benchmark_checks(bench, tmp_path, name):
     run, workloads = bench
     wl = workloads.WORKLOADS[name](1, tmp_path)
     if name == "dod-sweep":
-        ops = workloads.SLACK_EVERY - 1
-        assert not any(workloads.dod_shape(i)[2] for i in range(ops))
+        ops = workloads.SLACK_EVERY
+        slack = [workloads.dod_shape(i)[2] for i in range(ops)]
+        assert slack == [False] * 4 + [True]
     else:
         ops = wl.round
     try:
         loop = run.Loop(wl)
         loop.run(0.0, ops, ops)
-        failed_ops, units, _, checks = loop.check()
+        failed_ops, units, failed_units, checks = loop.check()
     finally:
         wl.close()
     assert len(loop.latencies) == ops and units == ops * wl.units
     assert failed_ops == 0, checks
     assert set(checks) <= {"failed_row"}, checks
+    if name == "dod-sweep":
+        captured = [row for _, out, _ in loop.first.values() for row in out]
+        errors = [row[2] for row in captured if row[0] == "failed"]
+        assert errors == ["NonConvergence"] * wl.units
+        assert failed_units == checks["failed_row"] == wl.units
 
 
 @pytest.mark.xfail(

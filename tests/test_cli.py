@@ -411,6 +411,16 @@ class TestSweepCommand:
         )
         assert not out.exists()
 
+    def test_reversed_range_is_a_domain_error(self, tmp_path, capsys):
+        path = write_problem(tmp_path / "p.json", AMGM)
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", path, "--gammas", "0.9:0.1:0.1", "-o", str(out)])
+        assert code == EXIT_DOMAIN
+        assert capsys.readouterr().err == (
+            "error: gamma range stop must not be below start\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("grid", ["-0.1,0.5", "-0.1:0.9:0.1", "-.5,0.5", "-inf,0.5"])
     def test_negative_values_may_follow_gammas(self, tmp_path, capsys, grid):
         path = write_problem(tmp_path / "p.json", AMGM)

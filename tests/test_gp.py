@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ugp.errors import (
     DegreeOfDifficultyNegative,
@@ -15,6 +17,7 @@ from ugp.errors import (
 from ugp.gp import (
     DeterministicGP,
     _first_halving,
+    DualProblem,
     DualStructure,
     Posynomial,
     build_dual,
@@ -51,6 +54,17 @@ class TestPosynomial:
             Posynomial((1.0, 1.0), ((1.0,), (1.0, 2.0)))
         with pytest.raises(ValueError):
             Posynomial((1.0,), ((1.0,), (2.0,)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_coefficient_rejected(self, bad):
+        with pytest.raises(ValueError, match="posynomial coefficients must be finite"):
+            Posynomial((1.0, bad), ((1.0,), (-1.0,)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_exponent_rejected(self, bad):
+        # x**inf + 1/x used to solve to a wrong x* = 1 with gap 1
+        with pytest.raises(ValueError, match="posynomial exponents must be finite"):
+            Posynomial((1.0, 1.0), ((bad,), (-1.0,)))
 
     def test_value(self):
         posy = Posynomial((2.0, 3.0), ((1.0, 0.0), (0.0, 2.0)))
@@ -409,3 +423,63 @@ class TestFirstHalving:
             k0, brute = self.check(delta, direction)
             if brute is not None:
                 assert brute[0] - k0 <= 2
+
+
+# weights across the whole double range: subnormals, 1e+-300, signed
+# zeros, infinities and NaN
+WEIGHTS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(
+        [5e-324, -5e-324, 2.2e-308, 1e-300, -1e-300, 1e300, -1e300, 0.0, -0.0, math.nan]
+    ),
+)
+
+
+@st.composite
+def blocks_and_weights(draw):
+    """Unsorted block labels 0..K (some blocks empty) and one weight each."""
+    n_terms = draw(st.integers(1, 60))
+    k = draw(st.integers(0, 8))
+    blocks = draw(st.lists(st.integers(0, k), min_size=n_terms, max_size=n_terms))
+    weights = draw(st.lists(WEIGHTS, min_size=n_terms, max_size=n_terms))
+    return k, blocks, weights
+
+
+class TestExactness:
+    """The Newton step's array idioms against the arithmetic they replace,
+    compared bit for bit."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data=blocks_and_weights())
+    def test_block_totals_add_each_block_in_term_order(self, data):
+        k, blocks, weights = data
+        dual = DualProblem(
+            np.ones(len(blocks)), np.zeros((len(blocks), 0)), np.array(blocks), k
+        )
+        expected = [0.0] * (k + 1)
+        for block, weight in zip(blocks, weights):
+            expected[block] += weight
+        with np.errstate(all="ignore"):
+            totals = dual.block_totals(np.array(weights))
+        assert totals.tobytes() == np.array(expected).tobytes()
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_in_place_diagonal_matches_subtracting_diag(self, data):
+        n = data.draw(st.integers(1, 8))
+        entries = data.draw(st.lists(WEIGHTS, min_size=n * n, max_size=n * n))
+        delta = np.array(data.draw(st.lists(WEIGHTS, min_size=n, max_size=n)))
+        hessian = np.array(entries).reshape(n, n)
+        with np.errstate(all="ignore"):
+            expected = hessian - np.diag(1.0 / delta)
+            # the update DualStructure._newton applies to its Hessian
+            hessian.reshape(-1)[:: n + 1] -= 1.0 / delta
+        assert hessian.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n_terms, n_blocks", [(1, 0), (3, 1), (40, 5)])
+    def test_newton_hessian_is_c_contiguous(self, n_terms, n_blocks):
+        # so reshape(-1) is a view and the diagonal update lands in place
+        members = np.ones((n_terms, n_blocks))
+        hessian = (members / np.ones(n_blocks)) @ members.T
+        assert hessian.flags.c_contiguous
+        assert np.shares_memory(hessian.reshape(-1), hessian)

@@ -46,6 +46,20 @@ class TestConstruction:
         with pytest.raises(ValueError):
             TwoFoldVariable("gaussian", (0.0, 1.0), 0.5, 0.5)
 
+    @pytest.mark.parametrize(
+        "family, params",
+        [
+            ("triangular", (1.0, 2.0, math.inf)),
+            ("triangular", (-math.inf, 2.0, 3.0)),
+            ("triangular", (1.0, math.nan, 3.0)),
+            ("trapezoidal", (1.0, 2.0, 3.0, math.inf)),
+            ("trapezoidal", (-math.inf, 2.0, 3.0, 4.0)),
+        ],
+    )
+    def test_nonfinite_params_rejected(self, family, params):
+        with pytest.raises(ValueError, match="family parameters must be finite"):
+            TwoFoldVariable(family, params, 0.5, 0.5)
+
     def test_criterion_validation(self):
         with pytest.raises(AlphaOutOfRange):
             ReductionCriterion.optimistic(0.0)
