@@ -66,7 +66,8 @@ _LINE_SEARCH_FLOOR = 1e-300
 
 @dataclass(frozen=True)
 class Posynomial:
-    """Sum of terms coefficient * prod_j x_j**exponent_j, coefficients > 0."""
+    """Sum of terms coefficient * prod_j x_j**exponent_j: coefficients
+    positive, coefficients and exponents finite."""
 
     coefficients: tuple[float, ...]
     exponents: tuple[tuple[float, ...], ...]
@@ -407,7 +408,7 @@ class DualStructure:
         )
         log_beta = np.log(beta)
         members = self._membership[:, 1:]
-        shift = np.r_[-1.0, np.empty(self.n_constraints)]  # (-1, log lambda_k)
+        shift = np.full(self.n_constraints + 1, -1.0)  # (-1, log lambda_k)
         delta, current = start, dual.log_value(start)
         for _ in range(_MAX_NEWTON_ITER):
             totals = dual.block_totals(delta)[1:]

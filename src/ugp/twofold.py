@@ -60,7 +60,7 @@ __all__ = [
 class TwoFoldVariable:
     """Triangular or trapezoidal two-fold uncertain variable.
 
-    ``params`` is (a, b, c) or (a, b, c, d), strictly increasing;
+    ``params`` is (a, b, c) or (a, b, c, d), finite and strictly increasing;
     theta_l and theta_r in [0, 1] scale the downward/upward half-widths
     of the per-x distribution band.  theta_l = theta_r = 0 collapses the
     band everywhere and the variable degenerates to its base family.

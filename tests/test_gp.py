@@ -475,11 +475,3 @@ class TestExactness:
             # the update DualStructure._newton applies to its Hessian
             hessian.reshape(-1)[:: n + 1] -= 1.0 / delta
         assert hessian.tobytes() == expected.tobytes()
-
-    @pytest.mark.parametrize("n_terms, n_blocks", [(1, 0), (3, 1), (40, 5)])
-    def test_newton_hessian_is_c_contiguous(self, n_terms, n_blocks):
-        # so reshape(-1) is a view and the diagonal update lands in place
-        members = np.ones((n_terms, n_blocks))
-        hessian = (members / np.ones(n_blocks)) @ members.T
-        assert hessian.flags.c_contiguous
-        assert np.shares_memory(hessian.reshape(-1), hessian)
