@@ -26,9 +26,8 @@ recovery and verification.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .distributions import PiecewiseDistribution, _require_alpha_open
 from .gp import DeterministicGP, DualStructure, GPDiagnostics, Posynomial
@@ -50,8 +49,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class UncertainTerm:
+    """Two-fold coefficient times prod_j x_j**exponent_j, exponents finite."""
+
     coefficient: TwoFoldVariable
     exponents: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        if not all(map(math.isfinite, self.exponents)):
+            raise ValueError(
+                f"posynomial exponents must be finite, got {self.exponents}"
+            )
 
 
 @dataclass(frozen=True)
@@ -199,18 +206,6 @@ class FailedRow:
     exception: Exception = field(compare=False, repr=False)
 
 
-def _dual_structure(reduced: ReducedGPProblem) -> DualStructure:
-    """The dual structure shared by every gamma: terms in build_dual order."""
-    blocks = (reduced.objective, *reduced.constraints)
-    exponents = [exps for block in blocks for _, exps in block]
-    return DualStructure(
-        exponent_matrix=np.asarray(exponents, dtype=float).reshape(
-            len(exponents), reduced.n_variables
-        ),
-        term_blocks=np.repeat(np.arange(len(blocks)), [len(b) for b in blocks]),
-    )
-
-
 def _solve_grid(
     reduced: ReducedGPProblem, gammas: list[float]
 ) -> list[SweepRow | ValueError | RuntimeError]:
@@ -234,7 +229,9 @@ def _solve_grid(
         outcomes.append(None)
         solved.append(i)
         coefficients.append(objective.coefficients + sum(blocks, ()))
-    solutions = _dual_structure(reduced).solve(coefficients)
+    terms = (reduced.objective, *reduced.constraints)
+    structure = DualStructure.from_blocks([[e for _, e in block] for block in terms])
+    solutions = structure.solve(coefficients)
     for i, solution in zip(solved, solutions):
         if isinstance(solution, Exception):
             outcomes[i] = solution

@@ -278,15 +278,11 @@ def _parse_gammas(text: str) -> list[float]:
 
 
 def _criterion_from_args(args: argparse.Namespace) -> ReductionCriterion:
-    if args.criterion == "expected":
-        return ReductionCriterion.expected()
-    if args.alpha is None:
+    if args.criterion != "expected" and args.alpha is None:
         raise AlphaOutOfRange(
             f"criterion '{args.criterion}' needs --alpha in (0, 1)"
         )
-    if args.criterion == "optimistic":
-        return ReductionCriterion.optimistic(args.alpha)
-    return ReductionCriterion.pessimistic(args.alpha)
+    return ReductionCriterion(args.criterion, args.alpha)
 
 
 @functools.cache

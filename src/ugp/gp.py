@@ -139,17 +139,16 @@ def degree_of_difficulty(gp: DeterministicGP) -> int:
 
 @dataclass(frozen=True, eq=False)
 class DualProblem:
-    """Flattened dual data: one row per term, objective block first."""
+    """One coefficient row on its DualStructure, in the structure's term order."""
 
     coefficients: np.ndarray  # (N,)
-    exponent_matrix: np.ndarray  # (N, n)
-    term_blocks: np.ndarray  # (N,) int, 0 for objective, k for constraint k
-    n_constraints: int
+    structure: DualStructure
 
     def block_totals(self, delta: np.ndarray) -> np.ndarray:
         """lambda_k = sum of weights in block k, for k = 0..K, by one
         bincount: each block's weights are added in term order from 0.0."""
-        return np.bincount(self.term_blocks, delta, self.n_constraints + 1)
+        structure = self.structure
+        return np.bincount(structure.term_blocks, delta, structure.n_constraints + 1)
 
     def log_value(self, delta: np.ndarray) -> float:
         """log V(delta) with the continuous extension 0 * log(.) = 0."""
@@ -166,19 +165,11 @@ def _log_value(beta: np.ndarray, delta: np.ndarray, lam: np.ndarray) -> np.ndarr
 
 
 def build_dual(gp: DeterministicGP) -> DualProblem:
-    """Assemble coefficient vector, exponent matrix and block map."""
-    coeffs: list[float] = list(gp.objective.coefficients)
-    rows: list[tuple[float, ...]] = list(gp.objective.exponents)
-    blocks: list[int] = [0] * gp.objective.n_terms
-    for k, constraint in enumerate(gp.constraints, start=1):
-        coeffs.extend(constraint.coefficients)
-        rows.extend(constraint.exponents)
-        blocks.extend([k] * constraint.n_terms)
+    """The GP's coefficient row on its DualStructure."""
+    blocks = (gp.objective, *gp.constraints)
     return DualProblem(
-        coefficients=np.asarray(coeffs, dtype=float),
-        exponent_matrix=np.asarray(rows, dtype=float).reshape(len(coeffs), -1),
-        term_blocks=np.asarray(blocks, dtype=int),
-        n_constraints=len(gp.constraints),
+        coefficients=np.concatenate([b.coefficients for b in blocks], dtype=float),
+        structure=DualStructure.from_blocks([block.exponents for block in blocks]),
     )
 
 
@@ -257,8 +248,8 @@ class DualStructure:
     shares this work:
 
     * the condition matrix and its right-hand side;
-    * the block membership matrix, from which each row's block totals and
-      Newton gradient and Hessian are read;
+    * the block map, whose in-order bincount gives every block total and
+      which shapes the Newton gradient's gather and Hessian's block mask;
     * at degree of difficulty zero, the exact weights, or the verdict that
       the dual method cannot proceed (too few terms, negative weights);
     * otherwise the phase-I interior point and the null-space basis that
@@ -267,7 +258,7 @@ class DualStructure:
       which is both the rank check and the least-squares solve.
 
     A structure lives for one solve or sweep.  :meth:`solve` takes one
-    coefficient row per GP (terms in :func:`build_dual` order) and runs the
+    coefficient row per GP (terms in :meth:`from_blocks` order) and runs the
     whole pipeline on all rows at once: dual weights, log V, primal
     recovery by one multi-right-hand-side least-squares solve per active
     set, and verification.
@@ -282,10 +273,6 @@ class DualStructure:
             [(self.term_blocks == 0).astype(float), self.exponent_matrix.T]
         )
         self.rhs = np.r_[1.0, np.zeros(n)]
-        # (N, K + 1) 0/1 matrix: delta @ membership gives the block totals
-        self._membership = (
-            self.term_blocks[:, None] == np.arange(self.n_constraints + 1)
-        ).astype(float)
         self._newton_start: tuple[np.ndarray, np.ndarray] | None = None
         self._recovery: dict[bytes, tuple | RankDeficient] = {}
         self._verdict: Exception | None = None
@@ -311,8 +298,15 @@ class DualStructure:
                 self._exact_delta = candidate
 
     @classmethod
-    def of(cls, dual: DualProblem) -> DualStructure:
-        return cls(dual.exponent_matrix, dual.term_blocks)
+    def from_blocks(cls, blocks: list) -> DualStructure:
+        """The structure of blocks of exponent rows -- the objective's, then
+        each constraint's in order -- which fixes the term order of every
+        coefficient row."""
+        rows = [row for block in blocks for row in block]
+        return cls(
+            np.asarray(rows, dtype=float),
+            np.repeat(np.arange(len(blocks)), [len(block) for block in blocks]),
+        )
 
     @property
     def n_terms(self) -> int:
@@ -339,7 +333,7 @@ class DualStructure:
             return outcomes
         beta, delta = beta[rows], delta[rows]
         with np.errstate(all="ignore"):
-            lam = delta @ self._membership
+            lam = self._block_sums(delta)
             log_v = _log_value(beta, delta, lam)
             active, targets = self._recovery_system(beta, delta, lam, log_v)
             log_x, failures = self._recover(active, targets)
@@ -365,6 +359,15 @@ class DualStructure:
                     diagnostics=reports[i],
                 )
         return outcomes
+
+    def _block_sums(self, values: np.ndarray) -> np.ndarray:
+        """Block totals k = 0..K of each row, by one bincount over the flat
+        rows: each row's blocks are added in term order from 0.0, exactly
+        as DualProblem.block_totals adds one row."""
+        rows, width = len(values), self.n_constraints + 1
+        index = self.term_blocks + width * np.arange(rows)[:, None]
+        flat = np.bincount(index.ravel(), values.ravel(), rows * width)
+        return flat.reshape(rows, width)
 
     def _weights(self, beta: np.ndarray, outcomes: list) -> np.ndarray:
         """Dual weights per row; a row that fails gets its exception in
@@ -400,23 +403,23 @@ class DualStructure:
         self, beta: np.ndarray, start: np.ndarray, basis: np.ndarray
     ) -> np.ndarray:
         """Damped Newton on one row's log V over start + span(basis), start
-        strictly positive; gradient and Hessian read the block membership."""
+        strictly positive; gradient and Hessian read the block map."""
         if basis.shape[1] == 0:
             return start  # conditions pin delta down; nothing to optimize
-        dual = DualProblem(
-            beta, self.exponent_matrix, self.term_blocks, self.n_constraints
-        )
+        dual = DualProblem(beta, self)
         log_beta = np.log(beta)
-        members = self._membership[:, 1:]
+        blocks = self.term_blocks
+        # 1 where terms share a constraint block; / lambda gives (M / lambda) M^T
+        same_block = ((blocks[:, None] == blocks) & (blocks > 0)).astype(float)
         shift = np.full(self.n_constraints + 1, -1.0)  # (-1, log lambda_k)
         delta, current = start, dual.log_value(start)
         for _ in range(_MAX_NEWTON_ITER):
-            totals = dual.block_totals(delta)[1:]
-            np.log(totals, out=shift[1:])
-            g_red = basis.T @ (log_beta - np.log(delta) + shift[self.term_blocks])
+            totals = dual.block_totals(delta)
+            np.log(totals[1:], out=shift[1:])
+            g_red = basis.T @ (log_beta - np.log(delta) + shift[blocks])
             if np.linalg.norm(g_red) <= _GRAD_TOL:
                 return delta
-            hessian = (members / totals) @ members.T
+            hessian = same_block / totals[blocks]
             hessian.reshape(-1)[:: self.n_terms + 1] -= 1.0 / delta  # the diagonal
             H_red = basis.T @ hessian @ basis
             try:
@@ -519,7 +522,7 @@ class DualStructure:
     ) -> list[GPDiagnostics]:
         """Primal value, gap, constraint values and residuals per row."""
         monomials = np.prod(x[:, None, :] ** self.exponent_matrix, axis=2)
-        values = (beta * monomials) @ self._membership
+        values = self._block_sums(beta * monomials)
         gaps = np.abs(values[:, 0] - dual_value) / dual_value
         residual = np.where(active, np.log(x) @ self.exponent_matrix.T - targets, 0.0)
         linear = np.sqrt((residual**2).sum(axis=1))
@@ -546,7 +549,7 @@ def verify_solution(gp: DeterministicGP, sol: DualSolution) -> GPDiagnostics:
     """Primal value, relative duality gap, constraint values and residuals
     of any (delta, lambda, V, x), including one the solver did not produce."""
     dual = build_dual(gp)
-    structure = DualStructure.of(dual)
+    structure = dual.structure
     beta = dual.coefficients.reshape(1, -1)
     delta = np.asarray([sol.delta], dtype=float)
     lam = np.asarray([sol.lam], dtype=float)
@@ -563,7 +566,7 @@ def solve_gp(gp: DeterministicGP) -> DualSolution:
     """Full pipeline -- dual weights, recovery, verification -- as a batch
     of one on the GP's own DualStructure."""
     dual = build_dual(gp)
-    (outcome,) = DualStructure.of(dual).solve(dual.coefficients)
+    (outcome,) = dual.structure.solve(dual.coefficients)
     if isinstance(outcome, Exception):
         raise outcome
     return outcome

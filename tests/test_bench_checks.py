@@ -79,7 +79,7 @@ def test_binding_problem_of_degree_49_solves_every_row(bench, tmp_path):
 # sha256 of the reprs of every row (SweepRow with diagnostics, or FailedRow)
 # of dod-sweep seed 1, round 0 -- ops 0-24: 20 binding problems and the 5
 # slack-corpus problems -- in op order
-ROUND_0_DIGEST = "b9517520fc25a88c1964465ebbb6a660d9ffff91d9ed43576caa258376acc4d8"
+ROUND_0_DIGEST = "7572e19532f896fe413c79aba7a10ee9b5e6028bce1dfa476cb7aaec6db08bbd"
 
 
 def test_dod_sweep_round_0_rows_are_pinned(bench, tmp_path):

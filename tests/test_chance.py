@@ -66,6 +66,21 @@ class TestProblemValidation:
                 )
             )
 
+    @pytest.mark.parametrize("where", ["objective", "constraint"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_exponents_rejected(self, where, bad):
+        # degree of difficulty 1: a term that got through would reach the
+        # dual's phase-I linear program and fail the whole sweep there
+        coeff = TwoFoldVariable.triangular(2, 4, 5, 0.1, 0.1)
+        objective = [(1.0, 0.0), (-1.0, 0.0), (1.0, 1.0)]
+        constraint = [(0.0, -1.0)]
+        (objective if where == "objective" else constraint)[0] = (bad, 0.0)
+        with pytest.raises(ValueError, match="posynomial exponents must be finite"):
+            UncertainGPProblem(
+                objective=tuple(UncertainTerm(coeff, e) for e in objective),
+                constraints=(tuple(UncertainTerm(coeff, e) for e in constraint),),
+            )
+
     def test_gamma_validation(self):
         with pytest.raises(AlphaOutOfRange):
             ChanceConfig(gamma=0.0)

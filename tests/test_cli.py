@@ -238,6 +238,16 @@ class TestExitCodes:
         rc = main(["solve", path, "--gamma", "0.5", "--criterion", "optimistic"])
         assert rc == EXIT_DOMAIN
 
+    @pytest.mark.parametrize("command", ["solve", "sweep", "reduce"])
+    def test_alpha_with_expected_criterion(self, tmp_path, capsys, command):
+        # ReductionCriterion("expected", alpha) raises; the CLI must not drop alpha
+        path = write_problem(tmp_path / "p.json", AMGM)
+        grid = {"solve": ["--gamma", "0.5"], "sweep": ["--gammas", "0.5"], "reduce": []}
+        argv = [command, path, *grid[command], "--criterion", "expected", "--alpha", "7"]
+        assert main(argv + ["-o", str(tmp_path / "out.csv")]) == EXIT_DOMAIN
+        assert "expected reduction takes no alpha" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
 
 class TestReduceCommand:
     def test_curve_passes_through_known_point(self, tmp_path):
@@ -399,6 +409,34 @@ class TestSweepCommand:
         assert len(lines) == 3
         assert lines[2].startswith("# gamma=1.5 error=AlphaOutOfRange")
 
+    # sha256 of the CSV written by ``ugp sweep --gammas 0.01:0.99:0.01`` for
+    # the bundled problems, which have degree of difficulty zero: their rows
+    # never reach the Newton, so a change to the dual's iterative path must
+    # leave these bytes alone.
+    SWEEP_SHA256 = {
+        ("triangular_case.json", "expected"):
+            "305e866d9fbbb115cd0b5d96b9c836f91a274894617a93c26824276981736074",
+        ("triangular_case.json", "optimistic"):
+            "6806024a19cdc13e7f835434f6105aa933e126fc17bedc402a7a7b56bf1b291b",
+        ("triangular_case.json", "pessimistic"):
+            "6f3e4990cb49d327fd63e086d494aec418a101ea5cfa4f93b6d500751cc98d5d",
+        ("trapezoidal_case.json", "expected"):
+            "f7fab6c2bc6b6a9ccef4d5afbd999320e1342a956905f6ee4d17dcb42138d505",
+        ("trapezoidal_case.json", "optimistic"):
+            "ede4ac87d801a139b938d9e082866b08215dc045c2fe14b3056190a91d78043e",
+        ("trapezoidal_case.json", "pessimistic"):
+            "2db5e2bf6efebeeafe6c7879ae2c23669a08f32791b83bf46bceccb06b8a7280",
+    }
+
+    @pytest.mark.parametrize("name, criterion", sorted(SWEEP_SHA256))
+    def test_bundled_sweeps_are_pinned(self, tmp_path, name, criterion):
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", str(bundled_problem_path(name)), "--criterion", criterion]
+        argv += TestReduceCommand.ALPHA[criterion]
+        assert main(argv + ["--gammas", "0.01:0.99:0.01", "-o", str(out)]) == EXIT_OK
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == self.SWEEP_SHA256[(name, criterion)]
+
     @pytest.mark.parametrize(
         "grid", ["0.1:inf:0.1", "0.1:0.9:nan", "nan:0.9:0.1", "-inf:0.9:0.1", "0.1:0.9:inf"]
     )
@@ -520,6 +558,17 @@ class TestTablesCommand:
         )
         cells = line.split()
         assert all("." in cell and len(cell.split(".")[1]) == 3 for cell in cells)
+
+    # sha256 of table1.csv and table2.csv; see SWEEP_SHA256
+    TABLES_SHA256 = {
+        "table1.csv": "91245ffcff9e1ce565c3bab5f975da75e1de9502f92a0728a3cbd2060781f53c",
+        "table2.csv": "d1289869acc8bcd5a3fcfb6d157c1bb344f5cc7b83ad686a3f806ffdd638d0a0",
+    }
+
+    def test_tables_are_pinned(self, tmp_path):
+        assert main(["tables", "--outdir", str(tmp_path)]) == EXIT_OK
+        for name, expected in self.TABLES_SHA256.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == expected
 
 
 class TestParser:

@@ -94,8 +94,7 @@ class TestDegreeOfDifficulty:
 
 class TestBuildDual:
     def test_benchmark_conditions(self):
-        dual = build_dual(bench_gp())
-        structure = DualStructure.of(dual)
+        structure = build_dual(bench_gp()).structure
         A, rhs = structure.A, structure.rhs
         np.testing.assert_allclose(
             A,
@@ -107,18 +106,16 @@ class TestBuildDual:
             ],
         )
         np.testing.assert_allclose(rhs, [1.0, 0.0, 0.0, 0.0])
-        np.testing.assert_array_equal(dual.term_blocks, [0, 0, 0, 1])
+        np.testing.assert_array_equal(structure.term_blocks, [0, 0, 0, 1])
 
     def test_single_term_objective(self):
-        structure = DualStructure.of(
-            build_dual(DeterministicGP(Posynomial((4.2,), ((),))))
-        )
+        structure = build_dual(DeterministicGP(Posynomial((4.2,), ((),)))).structure
         A, rhs = structure.A, structure.rhs
         np.testing.assert_allclose(A, [[1.0]])
         np.testing.assert_allclose(rhs, [1.0])
 
     def test_two_term_one_variable(self):
-        A = DualStructure.of(build_dual(AMGM_GP)).A
+        A = build_dual(AMGM_GP).structure.A
         np.testing.assert_allclose(A, [[1.0, 1.0], [1.0, -1.0]])
 
 
@@ -437,12 +434,13 @@ WEIGHTS = st.one_of(
 
 @st.composite
 def blocks_and_weights(draw):
-    """Unsorted block labels 0..K (some blocks empty) and one weight each."""
+    """Unsorted block labels 0..K (some blocks empty) and 1-3 rows of one
+    weight each."""
     n_terms = draw(st.integers(1, 60))
     k = draw(st.integers(0, 8))
     blocks = draw(st.lists(st.integers(0, k), min_size=n_terms, max_size=n_terms))
-    weights = draw(st.lists(WEIGHTS, min_size=n_terms, max_size=n_terms))
-    return k, blocks, weights
+    row = st.lists(WEIGHTS, min_size=n_terms, max_size=n_terms)
+    return blocks, draw(st.lists(row, min_size=1, max_size=3))
 
 
 class TestExactness:
@@ -452,16 +450,34 @@ class TestExactness:
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(data=blocks_and_weights())
     def test_block_totals_add_each_block_in_term_order(self, data):
-        k, blocks, weights = data
-        dual = DualProblem(
-            np.ones(len(blocks)), np.zeros((len(blocks), 0)), np.array(blocks), k
-        )
-        expected = [0.0] * (k + 1)
-        for block, weight in zip(blocks, weights):
-            expected[block] += weight
+        blocks, rows = data
+        structure = DualStructure(np.zeros((len(blocks), 0)), np.array(blocks))
+        dual = DualProblem(np.ones(len(blocks)), structure)
+        expected = []
+        for weights in rows:
+            totals = [0.0] * (max(blocks) + 1)
+            for block, weight in zip(blocks, weights):
+                totals[block] += weight
+            expected.append(totals)
         with np.errstate(all="ignore"):
-            totals = dual.block_totals(np.array(weights))
-        assert totals.tobytes() == np.array(expected).tobytes()
+            one_row = [dual.block_totals(np.array(weights)) for weights in rows]
+            batched = structure._block_sums(np.array(rows))
+        assert np.array(one_row).tobytes() == np.array(expected).tobytes()
+        assert batched.tobytes() == np.array(expected).tobytes()
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_block_mask_over_lambda_matches_membership_matmul(self, data):
+        blocks = np.array(data.draw(st.lists(st.integers(0, 8), min_size=1, max_size=60)))
+        k = int(blocks.max())
+        totals = np.array(
+            data.draw(st.lists(st.floats(1e-300, 1e300), min_size=k + 1, max_size=k + 1))
+        )
+        members = (blocks[:, None] == np.arange(1, k + 1)).astype(float)
+        expected = (members / totals[1:]) @ members.T
+        # the block part DualStructure._newton gives its Hessian
+        same_block = ((blocks[:, None] == blocks) & (blocks > 0)).astype(float)
+        assert (same_block / totals[blocks]).tobytes() == expected.tobytes()
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(data=st.data())

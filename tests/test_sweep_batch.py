@@ -37,7 +37,7 @@ from ugp.cli import (
     main,
 )
 from ugp.errors import NonConvergence, NumericalRangeError
-from ugp.gp import DualStructure, solve_gp
+from ugp.gp import DualStructure, build_dual, solve_gp
 from ugp.twofold import ReductionCriterion, TwoFoldVariable
 
 from support import grid_search_minimum
@@ -363,7 +363,7 @@ class TestNewtonPathIsPinned:
 
     # sha256 of the reprs of every row (SweepRow fields with diagnostics,
     # FailedRow class and message) of NEWTON_SWEEPS, in order
-    DIGEST = "77a87fd77306f13f0a5da958e3a31a19feaf81fd39c654900b7c49ce86acd278"
+    DIGEST = "f16150564e423e8bb79539211ad0409d0d42e32cfd7d07ed9f59ecd6efc02c1c"
     # DualProblem.log_value calls of each Newton solve, in solve order
     LOG_VALUE_CALLS = [
         42, 5, 6, 6, 8, 8, 312, 12, 9, 10, 11, 11, 10, 10,  # binding, DoD 1-40
@@ -393,6 +393,27 @@ class TestNewtonPathIsPinned:
         assert hashlib.sha256(text.encode()).hexdigest() == self.DIGEST
         assert [count for _, count in solves] == self.LOG_VALUE_CALLS
         assert weights_in_domain and all(weights_in_domain)
+
+    def test_reported_lambda_and_dual_value_are_those_of_delta(self):
+        # the block totals and V the Newton maximized, not another sum of
+        # the same weights
+        solved = 0
+        for uncertain_problem, gammas in NEWTON_SWEEPS:
+            reduced = reduce_problem(uncertain_problem, ReductionCriterion.expected())
+            for gamma in gammas:
+                gp = deterministic_form(reduced, gamma)
+                try:
+                    sol = solve_gp(gp)
+                except (ValueError, RuntimeError):
+                    continue
+                solved += 1
+                dual = build_dual(gp)
+                delta = np.array(sol.delta)
+                lam = dual.block_totals(delta)[1:]
+                assert np.array(sol.lam[1:]).tobytes() == lam.tobytes()
+                value = math.exp(dual.log_value(delta))
+                assert abs(sol.dual_value - value) <= 2 * math.ulp(value)
+        assert solved == 28
 
 
 CRITERIA = {
