@@ -36,7 +36,9 @@ import csv
 import functools
 import json
 import math
+import os
 import re
+import stat
 import sys
 from importlib import resources
 from pathlib import Path
@@ -189,7 +191,15 @@ def bundled_problem_path(name: str) -> Path:
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    """Write the CSV over ``path`` in place, then cut off any old tail.
+
+    Opening an existing file with ``"w"`` truncates it to zero bytes, after
+    which ext4 starts a disk write on close; overwriting skips that.  A pipe
+    or terminal is written as a stream, not truncated.
+    """
+    flags = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)  # no CRLF on Windows
+    fd = os.open(path, flags, 0o666)
+    with open(fd, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
@@ -197,6 +207,8 @@ def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
                 handle.write(row[0] + "\n")
             else:
                 writer.writerow(row)
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            handle.truncate()
 
 
 def _sweep_header(problem: UncertainGPProblem) -> list[str]:

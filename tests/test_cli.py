@@ -4,6 +4,7 @@ import argparse
 import csv
 import hashlib
 import json
+import os
 import re
 from pathlib import Path
 
@@ -408,6 +409,22 @@ class TestSweepCommand:
         lines = text.splitlines()
         assert len(lines) == 3
         assert lines[2].startswith("# gamma=1.5 error=AlphaOutOfRange")
+
+    @pytest.mark.parametrize("old", ["", "x" * 10, "x\n" * 10_000])
+    def test_overwrite_leaves_only_the_new_csv(self, tmp_path, old):
+        argv = ["sweep", str(bundled_problem_path("triangular_case.json")),
+                "--gammas", "0.1:0.9:0.1", "-o"]
+        fresh, reused = tmp_path / "fresh.csv", tmp_path / "reused.csv"
+        reused.write_text(old, encoding="utf-8")
+        assert main(argv + [str(fresh)]) == main(argv + [str(reused)]) == EXIT_OK
+        assert reused.read_bytes() == fresh.read_bytes()
+        assert reused.stat().st_mode == fresh.stat().st_mode
+
+    def test_output_to_a_device_is_not_truncated(self):
+        # ftruncate on a character device fails with EINVAL
+        argv = ["sweep", str(bundled_problem_path("triangular_case.json")),
+                "--gammas", "0.5", "-o", os.devnull]
+        assert main(argv) == EXIT_OK
 
     # sha256 of the CSV written by ``ugp sweep --gammas 0.01:0.99:0.01`` for
     # the bundled problems, which have degree of difficulty zero: their rows
