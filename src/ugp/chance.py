@@ -106,10 +106,6 @@ class ReducedGPProblem:
         tuple[tuple[PiecewiseDistribution, tuple[float, ...]], ...], ...
     ]
 
-    @property
-    def n_variables(self) -> int:
-        return len(self.objective[0][1])
-
 
 def reduce_problem(
     problem: UncertainGPProblem, criterion: ReductionCriterion
@@ -206,16 +202,31 @@ class FailedRow:
     exception: Exception = field(compare=False, repr=False)
 
 
-def _solve_grid(
-    reduced: ReducedGPProblem, gammas: list[float]
-) -> list[SweepRow | ValueError | RuntimeError]:
-    """One outcome per gamma, in order: a row or the error it raised.
+def solve_chance(problem: UncertainGPProblem, config: ChanceConfig) -> SweepRow:
+    """Reduce, transform at config.gamma, solve by the dual method: a sweep
+    over the one level, raising the row's exception if it fails."""
+    (row,) = sweep(problem, [config.gamma], config.reduction)
+    if isinstance(row, FailedRow):
+        raise row.exception
+    return row
 
+
+def sweep(
+    problem: UncertainGPProblem,
+    gammas: list[float],
+    criterion: ReductionCriterion | None = None,
+) -> list[SweepRow | FailedRow]:
+    """Solve one row per confidence level, in input order.
+
+    The reduction, the gamma-free objective coefficients and the dual
+    structure are computed once, and all rows are solved as one batch.
     An objective coefficient whose support touches zero fails the whole
-    grid and is raised.  Invalid gammas and constraint coefficients that
-    touch zero fail their rows before any solve; the remaining rows are
-    solved as one batch on a single dual structure.
+    sweep and is raised.  Otherwise a failing level produces a FailedRow
+    instead of aborting the sweep: invalid gammas and constraint
+    coefficients that touch zero fail their rows before the batch solve.
     """
+    criterion = criterion if criterion is not None else ReductionCriterion.expected()
+    reduced = reduce_problem(problem, criterion)
     objective = _objective_posynomial(reduced)
     outcomes: list = []
     solved: list[int] = []
@@ -231,47 +242,17 @@ def _solve_grid(
         coefficients.append(objective.coefficients + sum(blocks, ()))
     terms = (reduced.objective, *reduced.constraints)
     structure = DualStructure.from_blocks([[e for _, e in block] for block in terms])
-    solutions = structure.solve(coefficients)
-    for i, solution in zip(solved, solutions):
-        if isinstance(solution, Exception):
-            outcomes[i] = solution
-        else:
-            outcomes[i] = SweepRow(
-                gamma=gammas[i],
-                x_star=solution.primal_x,
-                delta_star=solution.delta,
-                expected_objective=solution.diagnostics.primal_objective,
-                diagnostics=solution.diagnostics,
-            )
-    return outcomes
-
-
-def solve_chance(problem: UncertainGPProblem, config: ChanceConfig) -> SweepRow:
-    """Reduce, transform at config.gamma, solve by the dual method."""
-    reduced = reduce_problem(problem, config.reduction)
-    (outcome,) = _solve_grid(reduced, [config.gamma])
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
-
-
-def sweep(
-    problem: UncertainGPProblem,
-    gammas: list[float],
-    criterion: ReductionCriterion | None = None,
-) -> list[SweepRow | FailedRow]:
-    """Solve one row per confidence level, in input order.
-
-    The reduction, the gamma-free objective coefficients and the dual
-    structure are computed once, and all rows are solved as one batch.
-    A failing level produces a FailedRow instead of aborting the whole
-    sweep.
-    """
-    criterion = criterion if criterion is not None else ReductionCriterion.expected()
-    reduced = reduce_problem(problem, criterion)
+    for i, solution in zip(solved, structure.solve(coefficients)):
+        outcomes[i] = solution if isinstance(solution, Exception) else SweepRow(
+            gamma=gammas[i],
+            x_star=solution.primal_x,
+            delta_star=solution.delta,
+            expected_objective=solution.diagnostics.primal_objective,
+            diagnostics=solution.diagnostics,
+        )
     return [
         FailedRow(gamma, type(outcome).__name__, str(outcome), outcome)
         if isinstance(outcome, Exception)
         else outcome
-        for gamma, outcome in zip(gammas, _solve_grid(reduced, gammas))
+        for gamma, outcome in zip(gammas, outcomes)
     ]

@@ -19,11 +19,11 @@ same pipeline and fail the same way.  An error prints ``error: <message>``
 on stderr and exits with its class's ``exit_code`` (see :mod:`ugp.errors`):
 0 success, 2 problem-file parse error, 3 domain error (invalid values,
 infeasible or rank-deficient model, a solution outside the
-double-precision range, or any other ``ValueError``), 4 negative degree of
-difficulty, 5 solver non-convergence.  A sweep exits non-zero only when
-every row fails, with the code of its first failed row.  CSV output is
-deterministic: dot decimal separator, 17 significant digits, LF line
-endings.
+double-precision range, an output that cannot be written, or any other
+``ValueError``), 4 negative degree of difficulty, 5 solver
+non-convergence.  A sweep exits non-zero only when every row fails, with
+the code of its first failed row.  CSV output is deterministic: dot
+decimal separator, 17 significant digits, LF line endings.
 
 The argument parser is built once per process, on the first ``main``
 call, and shared by every later call; it holds no per-call state.
@@ -195,20 +195,24 @@ def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
 
     Opening an existing file with ``"w"`` truncates it to zero bytes, after
     which ext4 starts a disk write on close; overwriting skips that.  A pipe
-    or terminal is written as a stream, not truncated.
+    or terminal is written as a stream, not truncated.  A path that cannot
+    be opened or written raises UGPError.
     """
     flags = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)  # no CRLF on Windows
-    fd = os.open(path, flags, 0o666)
-    with open(fd, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            if len(row) == 1 and row[0].startswith("#"):
-                handle.write(row[0] + "\n")
-            else:
-                writer.writerow(row)
-        if stat.S_ISREG(os.fstat(fd).st_mode):
-            handle.truncate()
+    try:
+        fd = os.open(path, flags, 0o666)
+        with open(fd, "w", encoding="utf-8", newline="") as handle:
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(header)
+            for row in rows:
+                if len(row) == 1 and row[0].startswith("#"):
+                    handle.write(row[0] + "\n")
+                else:
+                    writer.writerow(row)
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                handle.truncate()
+    except OSError as exc:
+        raise UGPError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _sweep_header(problem: UncertainGPProblem) -> list[str]:
@@ -434,7 +438,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_tables(args: argparse.Namespace) -> int:
     outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UGPError(f"cannot write {outdir}: {exc.strerror}") from exc
     grid = [round(0.1 * i, 12) for i in range(1, 10)]
     for name, out in (
         ("triangular_case.json", "table1.csv"),

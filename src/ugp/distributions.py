@@ -14,9 +14,9 @@ probability.  This module provides:
   k = 0 it is the piecewise form of a native family; every reduced
   distribution produced by :mod:`ugp.twofold` is the same table at the
   criterion's multiplier k;
-* :class:`ReductionCriterion` and critical values (optimistic /
-  pessimistic / expected) computed both by family closed forms and by the
-  generic inverse/quadrature path, the two of which must agree;
+* :class:`ReductionCriterion` and :func:`critical_value`, read through the
+  one protocol (``inverse``, ``expected_value``): closed forms on a native
+  family, the generic piecewise path on the carrier, the two of which agree;
 * a regularity check that samples a distribution densely and reports
   monotonicity violations.
 
@@ -55,6 +55,8 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 _REGULARITY_SLACK = 1e-12  # check_regularity ignores decreases up to this
+_SIMPSON_TOL = 1e-10  # expected_by_quadrature: total absolute tolerance
+_SIMPSON_MAX_DEPTH = 60  # and the recursion depth cap of each panel
 
 
 def _require_alpha_open(alpha: float | None, name: str = "alpha") -> float:
@@ -197,7 +199,7 @@ class PiecewiseDistribution:
             total += self.breakpoints[-1] * (1.0 - top)
         return total
 
-    def expected_by_quadrature(self, tol: float = 1e-10, max_depth: int = 60) -> float:
+    def expected_by_quadrature(self) -> float:
         """Same integral via adaptive Simpson on the inverse, per gamma panel."""
         knots = [0.0]
         for row in self._rows:
@@ -206,7 +208,7 @@ class PiecewiseDistribution:
                 knots.append(min(g, 1.0))
         if knots[-1] < 1.0:
             knots.append(1.0)
-        panel_tol = tol / max(len(knots) - 1, 1)
+        panel_tol = _SIMPSON_TOL / max(len(knots) - 1, 1)
         eps = 1e-14
 
         def inv(g: float) -> float:
@@ -214,7 +216,7 @@ class PiecewiseDistribution:
 
         total = 0.0
         for g0, g1 in zip(knots, knots[1:]):
-            total += adaptive_simpson(inv, g0, g1, panel_tol, max_depth)
+            total += adaptive_simpson(inv, g0, g1, panel_tol, _SIMPSON_MAX_DEPTH)
         return total
 
     def to_piecewise(self) -> "PiecewiseDistribution":
@@ -302,10 +304,11 @@ class LinearDistribution:
             return 1.0
         return (x - self.a) / (self.b - self.a)
 
-    def quantile(self, level: float) -> float:
-        return (1.0 - level) * self.a + level * self.b
+    def inverse(self, gamma: float) -> float:
+        gamma = _require_alpha_open(gamma, "gamma")
+        return (1.0 - gamma) * self.a + gamma * self.b
 
-    def expected(self) -> float:
+    def expected_value(self) -> float:
         return (self.a + self.b) / 2.0
 
     def to_piecewise(self) -> PiecewiseDistribution:
@@ -347,14 +350,15 @@ class TriangularDistribution:
             return (x - a) ** 2 / ((b - a) * (c - a))
         return 1.0 - (c - x) ** 2 / ((c - a) * (c - b))
 
-    def quantile(self, level: float) -> float:
+    def inverse(self, gamma: float) -> float:
+        gamma = _require_alpha_open(gamma, "gamma")
         a, b, c = self.a, self.b, self.c
         knee = (b - a) / (c - a)  # cdf value at the mode
-        if level <= knee:
-            return a + math.sqrt(level * (b - a) * (c - a))
-        return c - math.sqrt((1.0 - level) * (c - a) * (c - b))
+        if gamma <= knee:
+            return a + math.sqrt(gamma * (b - a) * (c - a))
+        return c - math.sqrt((1.0 - gamma) * (c - a) * (c - b))
 
-    def expected(self) -> float:
+    def expected_value(self) -> float:
         return (self.a + self.b + self.c) / 3.0
 
     def to_piecewise(self) -> PiecewiseDistribution:
@@ -403,17 +407,18 @@ class TrapezoidalDistribution:
             return (2.0 * x - a - b) / s
         return 1.0 - (d - x) ** 2 / (s * (d - c))
 
-    def quantile(self, level: float) -> float:
+    def inverse(self, gamma: float) -> float:
+        gamma = _require_alpha_open(gamma, "gamma")
         a, b, c, d, s = self.a, self.b, self.c, self.d, self._span
         knee_b = (b - a) / s
         knee_c = (2.0 * c - a - b) / s
-        if level <= knee_b:
-            return a + math.sqrt(level * s * (b - a))
-        if level <= knee_c:
-            return ((a + b) + level * s) / 2.0
-        return d - math.sqrt((1.0 - level) * s * (d - c))
+        if gamma <= knee_b:
+            return a + math.sqrt(gamma * s * (b - a))
+        if gamma <= knee_c:
+            return ((a + b) + gamma * s) / 2.0
+        return d - math.sqrt((1.0 - gamma) * s * (d - c))
 
-    def expected(self) -> float:
+    def expected_value(self) -> float:
         a, b, c, d, s = self.a, self.b, self.c, self.d, self._span
         return ((d**3 - c**3) / (d - c) - (b**3 - a**3) / (b - a)) / (3.0 * s)
 
@@ -483,53 +488,44 @@ def cdf(ud: Distribution, x: float) -> float:
 
 
 def inverse_cdf(ud: Distribution, gamma: float) -> float:
-    """Generic inverse inf{x : cdf(x) >= gamma}; gamma must lie in (0, 1)."""
+    """Generic inverse inf{x : cdf(x) >= gamma}, gamma in (0, 1), always
+    through the piecewise form (``ud.inverse`` is a native closed form)."""
     return as_piecewise(ud).inverse(gamma)
 
 
-def expected_value(
-    ud: Distribution,
-    method: str = "analytic",
-    tol: float = 1e-10,
-    max_depth: int = 60,
-) -> float:
-    """Integral of the inverse distribution over (0, 1).
+def expected_value(ud: Distribution, method: str = "analytic") -> float:
+    """Integral of the inverse distribution over (0, 1), always through the
+    piecewise form (``ud.expected_value`` is a native closed form).
 
     ``method="analytic"`` sums per-piece closed-form antiderivatives
     (the inverse of every piece is affine or of the form
     p +/- sqrt(q + r*gamma)); ``method="simpson"`` integrates the inverse
-    by adaptive quadrature instead.  The two agree to well below 1e-8 on
-    every family in this package.
+    by adaptive quadrature instead (tolerance 1e-10, depth cap 60).  The
+    two agree to well below 1e-8 on every family in this package.
     """
     pw = as_piecewise(ud)
     if method == "analytic":
         return pw.expected_value()
     if method == "simpson":
-        return pw.expected_by_quadrature(tol, max_depth)
+        return pw.expected_by_quadrature()
     raise ValueError(f"unknown method {method!r}")
 
 
 def critical_value(ud: Distribution, query: ReductionCriterion) -> float:
     """Optimistic/pessimistic value at a level, or the expected value.
 
-    For the native families the closed forms are used:
-    optimistic(alpha) inverts the distribution at 1 - alpha, pessimistic
-    at alpha, and the expected values are (a+b)/2, (a+b+c)/3 and the cubic
-    difference quotient respectively.  For piecewise distributions the
-    generic inverse / quadrature path is taken.  Both routes agree on the
-    native families.
+    optimistic(alpha) is ``ud.inverse(1 - alpha)``, pessimistic(alpha)
+    ``ud.inverse(alpha)`` and expected ``ud.expected_value()``: the family
+    closed forms on a native distribution -- for expected values (a+b)/2,
+    (a+b+c)/3 and the cubic difference quotient -- and the generic
+    inverse and piecewise integral on a PiecewiseDistribution.  Both
+    routes agree on the native families.
     """
-    if isinstance(ud, PiecewiseDistribution):
-        if query.kind == "optimistic":
-            return ud.inverse(1.0 - query.alpha)
-        if query.kind == "pessimistic":
-            return ud.inverse(query.alpha)
-        return ud.expected_value()
     if query.kind == "optimistic":
-        return ud.quantile(1.0 - query.alpha)
+        return ud.inverse(1.0 - query.alpha)
     if query.kind == "pessimistic":
-        return ud.quantile(query.alpha)
-    return ud.expected()
+        return ud.inverse(query.alpha)
+    return ud.expected_value()
 
 
 # ---------------------------------------------------------------------------

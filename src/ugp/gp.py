@@ -22,9 +22,9 @@ The primal minimizer is recovered from the log-linear stationarity
 relations linking delta, the dual value and the exponents.
 
 Everything that depends only on the exponents -- the conditions, the block
-map, the degree-zero weights, the Newton start, the recovery rank checks --
-lives in a DualStructure, which solves any number of coefficient rows in one
-batch; solve_gp is a batch of one.
+map, the degree-zero weights -- lives in a DualStructure, which solves any
+number of coefficient rows in one batch, running phase I once per solve and
+caching nothing; solve_gp is a batch of one.
 """
 
 from __future__ import annotations
@@ -251,17 +251,16 @@ class DualStructure:
     * the block map, whose in-order bincount gives every block total and
       which shapes the Newton gradient's gather and Hessian's block mask;
     * at degree of difficulty zero, the exact weights, or the verdict that
-      the dual method cannot proceed (too few terms, negative weights);
-    * otherwise the phase-I interior point and the null-space basis that
-      start each row's Newton iteration, computed on first use;
-    * for each recovery active set, the thin SVD of its exponent rows,
-      which is both the rank check and the least-squares solve.
+      the dual method cannot proceed (too few terms, negative weights).
 
-    A structure lives for one solve or sweep.  :meth:`solve` takes one
-    coefficient row per GP (terms in :meth:`from_blocks` order) and runs the
-    whole pipeline on all rows at once: dual weights, log V, primal
-    recovery by one multi-right-hand-side least-squares solve per active
-    set, and verification.
+    A structure lives for one solve or sweep and caches nothing.
+    :meth:`solve` takes one coefficient row per GP (terms in
+    :meth:`from_blocks` order) and runs the whole pipeline on all rows at
+    once: dual weights, log V, primal recovery and verification.  Off
+    degree zero it computes the phase-I interior point and null-space
+    basis once, for every row's Newton iteration.  Recovery takes one thin
+    SVD per active set: the rank check and the least-squares solve of
+    every row sharing that set.
     """
 
     def __init__(self, exponent_matrix: np.ndarray, term_blocks: np.ndarray) -> None:
@@ -273,8 +272,6 @@ class DualStructure:
             [(self.term_blocks == 0).astype(float), self.exponent_matrix.T]
         )
         self.rhs = np.r_[1.0, np.zeros(n)]
-        self._newton_start: tuple[np.ndarray, np.ndarray] | None = None
-        self._recovery: dict[bytes, tuple | RankDeficient] = {}
         self._verdict: Exception | None = None
         self._exact_delta: np.ndarray | None = None
         if N < n + 1:
@@ -376,28 +373,23 @@ class DualStructure:
         if self._exact_delta is not None:
             delta[:] = self._exact_delta
             return delta
+        verdict = self._verdict
+        if verdict is None and len(beta):
+            try:
+                start = _feasible_interior_point(self.A, self.rhs)
+            except InfeasibleDual as exc:
+                verdict = exc
+            else:
+                basis = null_space(self.A)
         for g, row in enumerate(beta):
-            start = self._start()
-            if isinstance(start, Exception):
-                outcomes[g] = start
+            if verdict is not None:
+                outcomes[g] = verdict
                 continue
             try:
-                delta[g] = self._newton(row, *start)
+                delta[g] = self._newton(row, start, basis)
             except (ValueError, RuntimeError) as exc:
                 outcomes[g] = exc
         return delta
-
-    def _start(self) -> tuple[np.ndarray, np.ndarray] | Exception:
-        """Newton's phase-I point and null-space basis, computed on first
-        use, or the verdict that no coefficient row can be solved."""
-        if self._verdict is None and self._newton_start is None:
-            try:
-                point = _feasible_interior_point(self.A, self.rhs)
-            except InfeasibleDual as exc:
-                self._verdict = exc
-            else:
-                self._newton_start = (point, null_space(self.A))
-        return self._verdict or self._newton_start
 
     def _newton(
         self, beta: np.ndarray, start: np.ndarray, basis: np.ndarray
@@ -498,18 +490,14 @@ class DualStructure:
         and, at full column rank, the least-squares solution of every row
         sharing the active set: log x = V diag(1/s) U^T rhs.
         """
-        key = mask.tobytes()
-        if key not in self._recovery:
-            u, s, vt = np.linalg.svd(self.exponent_matrix[mask], full_matrices=False)
-            tol = s.max(initial=0.0) * max(int(mask.sum()), self.n_variables)
-            rank = int((s > tol * np.finfo(float).eps).sum())
-            if rank < self.n_variables:
-                self._recovery[key] = RankDeficient(
-                    f"active exponent rows have rank {rank} < {self.n_variables}"
-                )
-            else:
-                self._recovery[key] = (u, s, vt)
-        return self._recovery[key]
+        u, s, vt = np.linalg.svd(self.exponent_matrix[mask], full_matrices=False)
+        tol = s.max(initial=0.0) * max(int(mask.sum()), self.n_variables)
+        rank = int((s > tol * np.finfo(float).eps).sum())
+        if rank < self.n_variables:
+            return RankDeficient(
+                f"active exponent rows have rank {rank} < {self.n_variables}"
+            )
+        return u, s, vt
 
     def _verify(
         self,

@@ -21,6 +21,7 @@ from ugp.cli import (
     load_problem,
     main,
 )
+from ugp.chance import UncertainGPProblem
 from ugp.distributions import TriangularDistribution
 from ugp.errors import ProblemFormatError
 
@@ -651,3 +652,132 @@ class TestParser:
         for grid in ("0.5", "0.3,0.7", "0.1:0.9:0.4"):
             assert main(["sweep", path, "--gammas", grid, "-o", str(out)]) == EXIT_OK
         assert len(built) == 5  # root + reduce, solve, sweep, tables
+
+
+class TestUnwritableOutput:
+    """An output path that cannot be written is a domain error (exit 3) with
+    one `error:` line, not a traceback."""
+
+    TRIANGULAR = str(bundled_problem_path("triangular_case.json"))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", TRIANGULAR, "--gammas", "0.5", "-o"],
+            ["solve", TRIANGULAR, "--gamma", "0.5", "-o"],
+            ["reduce", TRIANGULAR, "--samples", "10", "-o"],
+        ],
+        ids=["sweep", "solve", "reduce"],
+    )
+    def test_missing_directory(self, tmp_path, capsys, argv):
+        out = tmp_path / "missing" / "x.csv"
+        assert main(argv + [str(out)]) == EXIT_DOMAIN
+        assert capsys.readouterr().err == (
+            f"error: cannot write {out}: No such file or directory\n"
+        )
+        assert not out.parent.exists()
+
+    def test_sweep_to_a_directory(self, tmp_path, capsys):
+        argv = ["sweep", self.TRIANGULAR, "--gammas", "0.5", "-o", str(tmp_path)]
+        assert main(argv) == EXIT_DOMAIN
+        assert capsys.readouterr().err == f"error: cannot write {tmp_path}: Is a directory\n"
+
+    def test_tables_outdir_is_a_file(self, tmp_path, capsys):
+        outdir = tmp_path / "taken"
+        outdir.write_text("", encoding="utf-8")
+        assert main(["tables", "--outdir", str(outdir)]) == EXIT_DOMAIN
+        assert capsys.readouterr().err == f"error: cannot write {outdir}: File exists\n"
+        assert outdir.read_text(encoding="utf-8") == ""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_sweep_to_a_full_device(self, capsys):
+        argv = ["sweep", self.TRIANGULAR, "--gammas", "0.5", "-o", "/dev/full"]
+        assert main(argv) == EXIT_DOMAIN
+        assert capsys.readouterr().err == (
+            "error: cannot write /dev/full: No space left on device\n"
+        )
+
+
+def term_record(**changes) -> dict:
+    record = dict(AMGM["objective"][0])
+    record.update(changes)
+    return record
+
+
+class TestValidationMessages:
+    """Input checks that no other test reaches, each through main."""
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"variables": None}, "field 'variables' must be a nonempty name list"),
+            ({"variables": []}, "field 'variables' must be a nonempty name list"),
+            ({"variables": ["x", 1]}, "field 'variables' must be a nonempty name list"),
+            ({"variables": ["x", "x"]}, "field 'variables' contains duplicates"),
+            ({"objective": [5]}, "objective[0]: term record must be an object"),
+            (
+                {"objective": [term_record(family="lin")]},
+                "objective[0]: field 'family' must be 'tri' or 'tra', got 'lin'",
+            ),
+            (
+                {"objective": [term_record(exponents=[1])]},
+                "objective[0]: field 'exponents' must map variable names to reals",
+            ),
+            ({"objective": []}, "field 'objective' must be a nonempty term list"),
+            ({"constraints": {}}, "field 'constraints' must be a list of term lists"),
+            ({"constraints": [[]]}, "constraints[0] must be a nonempty term list"),
+        ],
+        ids=[
+            "variables-missing",
+            "variables-empty",
+            "variables-not-names",
+            "variables-duplicate",
+            "term-not-object",
+            "family-unknown",
+            "exponents-not-object",
+            "objective-empty",
+            "constraints-not-list",
+            "constraint-block-empty",
+        ],
+    )
+    def test_problem_file_schema(self, tmp_path, capsys, changes, message):
+        doc = {**json.loads(json.dumps(AMGM)), **changes}
+        doc = {key: value for key, value in doc.items() if value is not None}
+        path = write_problem(tmp_path / "p.json", doc)
+        assert main(["solve", path, "--gamma", "0.5"]) == EXIT_PARSE
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ("0.1:0.9", "gamma range must be start:stop:step"),
+            ("0.1:0.9:0", "gamma range step must be positive"),
+        ],
+    )
+    def test_gamma_range(self, tmp_path, capsys, grid, message):
+        path = write_problem(tmp_path / "p.json", AMGM)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", path, "--gammas", grid, "-o", str(out)]) == EXIT_DOMAIN
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_reduce_needs_two_samples(self, tmp_path, capsys):
+        path = write_problem(tmp_path / "p.json", AMGM)
+        out = tmp_path / "curves.csv"
+        assert main(["reduce", path, "--samples", "1", "-o", str(out)]) == EXIT_DOMAIN
+        assert capsys.readouterr().err == "error: --samples must be at least 2\n"
+        assert not out.exists()
+
+    def test_library_rejects_an_empty_constraint_block(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # load_problem rejects an empty block first, so build the problem
+        # through the library where main would load it
+        _, amgm = load_problem(write_problem(tmp_path / "p.json", AMGM))
+
+        def load(path):
+            return ["x"], UncertainGPProblem(amgm.objective, constraints=((),))
+
+        monkeypatch.setattr(ugp.cli, "load_problem", load)
+        assert main(["solve", "p.json", "--gamma", "0.5"]) == EXIT_DOMAIN
+        assert capsys.readouterr().err == "error: constraint blocks cannot be empty\n"

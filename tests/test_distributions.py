@@ -27,6 +27,14 @@ from ugp.twofold import TwoFoldVariable, reduce_twofold
 from support import expected_by_grid
 
 
+BAD_LEVELS = [0.0, 1.0, -0.2, 1.0001]
+NATIVE_EXAMPLES = [
+    LinearDistribution(2, 5),
+    TriangularDistribution(2, 4, 5),
+    TrapezoidalDistribution(2, 3, 4, 5),
+]
+
+
 def flat(level: float) -> tuple[float, float, float, float]:
     return (level, 0.0, 0.0, 0.0)
 
@@ -222,10 +230,22 @@ class TestInversion:
         assert tri.cdf(3.0) == pytest.approx(1 / 6, abs=1e-15)
         assert inverse_cdf(tri, 1 / 6) == pytest.approx(3.0, abs=1e-12)
 
-    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, 1.0001])
-    def test_alpha_out_of_range(self, bad):
+    @pytest.mark.parametrize(
+        "ud, invert, bad",
+        [
+            pytest.param(TriangularDistribution(2, 4, 5), inverse_cdf, bad, id=str(bad))
+            for bad in BAD_LEVELS
+        ]
+        + [
+            pytest.param(ud, type(ud).inverse, bad, id=f"{type(ud).__name__}.inverse-{bad}")
+            for ud in NATIVE_EXAMPLES
+            for bad in BAD_LEVELS
+        ],
+    )
+    def test_alpha_out_of_range(self, ud, invert, bad):
+        # the generic inverse and every native closed form reject the level
         with pytest.raises(AlphaOutOfRange):
-            inverse_cdf(TriangularDistribution(2, 4, 5), bad)
+            invert(ud, bad)
 
     def test_flat_segment_inverts_to_left_endpoint(self):
         pw = PiecewiseDistribution(
@@ -291,6 +311,27 @@ class TestCriticalValues:
             (1 - alpha) * 1.0 + alpha * 9.0, abs=1e-12
         )
         assert critical_value(lin, ReductionCriterion.expected()) == pytest.approx(5.0)
+
+    @pytest.mark.parametrize("family", ["triangular", "trapezoidal"])
+    @pytest.mark.parametrize(
+        "reduction",
+        [
+            ReductionCriterion.expected(),
+            ReductionCriterion.optimistic(0.3),
+            ReductionCriterion.pessimistic(0.7),
+        ],
+        ids=["expected", "optimistic", "pessimistic"],
+    )
+    def test_piecewise_critical_values_are_the_generic_route(self, family, reduction):
+        params = {"triangular": (10, 20, 25), "trapezoidal": (6, 7, 8, 9)}[family]
+        pw = reduce_twofold(TwoFoldVariable(family, params, 0.5, 0.7), reduction)
+        assert isinstance(pw, PiecewiseDistribution)
+        for alpha in (0.05, 0.3, 0.5, 0.8, 0.95):
+            opt = critical_value(pw, ReductionCriterion.optimistic(alpha))
+            assert opt == pw.inverse(1.0 - alpha)
+            pess = critical_value(pw, ReductionCriterion.pessimistic(alpha))
+            assert pess == pw.inverse(alpha)
+        assert critical_value(pw, ReductionCriterion.expected()) == pw.expected_value()
 
     def test_closed_forms_agree_with_generic_inverse(self):
         rng = np.random.default_rng(33)

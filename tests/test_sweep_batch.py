@@ -10,6 +10,7 @@ import hashlib
 import json
 import math
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -203,7 +204,9 @@ class TestFailuresKeepTheirPlace:
             assert code == EXPECTED[name][1]
             assert capsys.readouterr().err == error_line
         comments = [
-            line for line in open(out, encoding="utf-8") if line.startswith("#")
+            line
+            for line in Path(out).read_text(encoding="utf-8").splitlines()
+            if line.startswith("#")
         ]
         assert len(comments) == len(MIXED_GRID)
 
