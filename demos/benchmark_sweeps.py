@@ -6,7 +6,6 @@ the way `ugp tables` does.
 """
 
 from ugp import (
-    ChanceConfig,
     ReductionCriterion,
     degree_of_difficulty,
     deterministic_form,
@@ -41,7 +40,7 @@ print(f"duality gap:  {solution.diagnostics.duality_gap_rel:.2e}")
 print(f"constraint:   {solution.diagnostics.constraint_values[0]:.12f} (active)")
 
 # One-call version of the same thing.
-row = solve_chance(problem, ChanceConfig(gamma=0.5))
+row = solve_chance(problem, 0.5)
 print(f"solve_chance objective: {row.expected_objective:.6f}")
 
 # Full sweeps over the confidence grid for both benchmarks; the expected

@@ -11,7 +11,6 @@ from ugp import (
     LinearDistribution,
     TrapezoidalDistribution,
     TriangularDistribution,
-    as_piecewise,
     check_regularity,
     critical_value,
     expected_value,
@@ -36,7 +35,7 @@ print(f"  expected value      = {critical_value(tri, ReductionCriterion.expected
 
 # The generic piecewise carrier reproduces the family exactly, and the
 # analytic expectation agrees with adaptive Simpson quadrature.
-pw = as_piecewise(tri)
+pw = tri.to_piecewise()
 print(f"  analytic expectation = {expected_value(pw, 'analytic'):.12f}")
 print(f"  simpson  expectation = {expected_value(pw, 'simpson'):.12f}")
 

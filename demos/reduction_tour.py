@@ -13,7 +13,6 @@ from ugp import (
     TwoFoldVariable,
     curve_samples,
     reduce_twofold,
-    reduced_inverse,
     surface_at,
     twofold_cdf,
 )
@@ -49,7 +48,7 @@ print(f"  pessimistic(0.1) vs optimistic(0.9) worst gap: {mirror_gap:.2e}")
 # Reduced inverses drive the chance-constrained transformation downstream.
 print("\nreduced inverse (expected criterion):")
 for gamma in (0.1, 0.5, 2 / 3, 0.9):
-    print(f"  gamma={gamma:.3f} -> {reduced_inverse(tf, ReductionCriterion.expected(), gamma):.6f}")
+    print(f"  gamma={gamma:.3f} -> {expected.inverse(gamma):.6f}")
 
 # Curve dump: the same data the `ugp reduce` subcommand writes as CSV,
 # here for a trapezoidal variable under all three criteria.

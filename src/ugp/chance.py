@@ -36,7 +36,6 @@ from .twofold import ReductionCriterion, TwoFoldVariable, reduce_twofold
 __all__ = [
     "UncertainTerm",
     "UncertainGPProblem",
-    "ChanceConfig",
     "ReducedGPProblem",
     "SweepRow",
     "FailedRow",
@@ -82,19 +81,6 @@ class UncertainGPProblem:
     @property
     def n_variables(self) -> int:
         return len(self.objective[0].exponents)
-
-
-@dataclass(frozen=True)
-class ChanceConfig:
-    """Confidence level for the chance constraints plus reduction criterion."""
-
-    gamma: float
-    reduction: ReductionCriterion = field(
-        default_factory=ReductionCriterion.expected
-    )
-
-    def __post_init__(self) -> None:
-        _require_alpha_open(self.gamma, "gamma")
 
 
 @dataclass(frozen=True)
@@ -202,10 +188,14 @@ class FailedRow:
     exception: Exception = field(compare=False, repr=False)
 
 
-def solve_chance(problem: UncertainGPProblem, config: ChanceConfig) -> SweepRow:
-    """Reduce, transform at config.gamma, solve by the dual method: a sweep
-    over the one level, raising the row's exception if it fails."""
-    (row,) = sweep(problem, [config.gamma], config.reduction)
+def solve_chance(
+    problem: UncertainGPProblem,
+    gamma: float,
+    criterion: ReductionCriterion | None = None,
+) -> SweepRow:
+    """Reduce, transform at gamma, solve by the dual method: a sweep over
+    the one level, raising the row's exception if it fails."""
+    (row,) = sweep(problem, [gamma], criterion)
     if isinstance(row, FailedRow):
         raise row.exception
     return row

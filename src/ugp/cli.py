@@ -43,7 +43,14 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from .chance import FailedRow, SweepRow, UncertainGPProblem, UncertainTerm, sweep
+from .chance import (
+    FailedRow,
+    SweepRow,
+    UncertainGPProblem,
+    UncertainTerm,
+    solve_chance,
+    sweep,
+)
 from .errors import (  # the EXIT_* codes are also read from ugp.cli
     EXIT_DOD,
     EXIT_DOMAIN,
@@ -190,9 +197,10 @@ def bundled_problem_path(name: str) -> Path:
 # ---------------------------------------------------------------------------
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
+def _write_csv(path: Path, header: list[str], rows: list[list[str] | str]) -> None:
     """Write the CSV over ``path`` in place, then cut off any old tail.
 
+    A row given as a ``str`` is a comment line and is written as it is.
     Opening an existing file with ``"w"`` truncates it to zero bytes, after
     which ext4 starts a disk write on close; overwriting skips that.  A pipe
     or terminal is written as a stream, not truncated.  A path that cannot
@@ -205,8 +213,8 @@ def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(header)
             for row in rows:
-                if len(row) == 1 and row[0].startswith("#"):
-                    handle.write(row[0] + "\n")
+                if isinstance(row, str):
+                    handle.write(row + "\n")
                 else:
                     writer.writerow(row)
             if stat.S_ISREG(os.fstat(fd).st_mode):
@@ -215,34 +223,29 @@ def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
         raise UGPError(f"cannot write {path}: {exc.strerror}") from exc
 
 
-def _sweep_header(problem: UncertainGPProblem) -> list[str]:
-    n_terms = len(problem.objective) + sum(
-        len(block) for block in problem.constraints
-    )
-    return (
+def _cells(row: SweepRow) -> list[float]:
+    return [row.gamma, *row.x_star, *row.delta_star, row.expected_objective]
+
+
+def _write_sweep(
+    path: Path, problem: UncertainGPProblem, outcomes: list[SweepRow | FailedRow]
+) -> list[str]:
+    """Write a sweep CSV, a failed row as a comment line; return its header."""
+    n_terms = len(problem.objective) + sum(map(len, problem.constraints))
+    header = (
         ["gamma"]
         + [f"x{j + 1}" for j in range(problem.n_variables)]
         + [f"delta{i + 1}" for i in range(n_terms)]
         + ["objective"]
     )
-
-
-def _sweep_csv_rows(outcomes: list[SweepRow | FailedRow]) -> list[list[str]]:
-    rows: list[list[str]] = []
-    for outcome in outcomes:
-        if isinstance(outcome, FailedRow):
-            rows.append(
-                [f"# gamma={_fmt(outcome.gamma)} error={outcome.error}: "
-                 f"{outcome.message}"]
-            )
-        else:
-            rows.append(
-                [_fmt(outcome.gamma)]
-                + [_fmt(v) for v in outcome.x_star]
-                + [_fmt(d) for d in outcome.delta_star]
-                + [_fmt(outcome.expected_objective)]
-            )
-    return rows
+    rows = [
+        f"# gamma={_fmt(o.gamma)} error={o.error}: {o.message}"
+        if isinstance(o, FailedRow)
+        else [_fmt(cell) for cell in _cells(o)]
+        for o in outcomes
+    ]
+    _write_csv(path, header, rows)
+    return header
 
 
 def _print_table(outcomes: list[SweepRow | FailedRow], header: list[str]) -> None:
@@ -250,14 +253,8 @@ def _print_table(outcomes: list[SweepRow | FailedRow], header: list[str]) -> Non
     for outcome in outcomes:
         if isinstance(outcome, FailedRow):
             print(f"# gamma={outcome.gamma:g} failed: {outcome.error}")
-            continue
-        cells = (
-            [outcome.gamma]
-            + list(outcome.x_star)
-            + list(outcome.delta_star)
-            + [outcome.expected_objective]
-        )
-        print("  ".join(f"{cell:9.3f}" for cell in cells))
+        else:
+            print("  ".join(f"{cell:9.3f}" for cell in _cells(outcome)))
 
 
 # ---------------------------------------------------------------------------
@@ -398,9 +395,9 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 def _cmd_solve(args: argparse.Namespace) -> int:
     _, problem = load_problem(args.file)
     criterion = _criterion_from_args(args)
-    (row,) = sweep(problem, [args.gamma], criterion)
-    if isinstance(row, FailedRow):
-        raise row.exception
+    row = solve_chance(problem, args.gamma, criterion)
+    if args.output:  # before the report, which would read as a success
+        _write_sweep(Path(args.output), problem, [row])
     diag = row.diagnostics
 
     print(f"gamma = {args.gamma:g}  (criterion: {criterion.kind})")
@@ -414,7 +411,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     print(f"stationarity residual = {diag.linear_residual:.3e}")
 
     if args.output:
-        _write_csv(Path(args.output), _sweep_header(problem), _sweep_csv_rows([row]))
         print(f"wrote {args.output}")
     return EXIT_OK
 
@@ -424,8 +420,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     criterion = _criterion_from_args(args)
     gammas = _parse_gammas(args.gammas)
     outcomes = sweep(problem, gammas, criterion)
-    header = _sweep_header(problem)
-    _write_csv(Path(args.output), header, _sweep_csv_rows(outcomes))
+    header = _write_sweep(Path(args.output), problem, outcomes)
 
     successes = [o for o in outcomes if isinstance(o, SweepRow)]
     _print_table(outcomes, header)
@@ -449,8 +444,7 @@ def _cmd_tables(args: argparse.Namespace) -> int:
     ):
         _, problem = load_problem(bundled_problem_path(name))
         outcomes = sweep(problem, grid, ReductionCriterion.expected())
-        header = _sweep_header(problem)
-        _write_csv(outdir / out, header, _sweep_csv_rows(outcomes))
+        header = _write_sweep(outdir / out, problem, outcomes)
         print(f"{name} -> {outdir / out}")
         _print_table(outcomes, header)
     return EXIT_OK

@@ -44,8 +44,6 @@ __all__ = [
     "TrapezoidalDistribution",
     "ReductionCriterion",
     "RegularityReport",
-    "as_piecewise",
-    "cdf",
     "inverse_cdf",
     "critical_value",
     "expected_value",
@@ -478,19 +476,10 @@ class ReductionCriterion:
         return (theta_l - theta_r) / 2.0
 
 
-def as_piecewise(ud: Distribution) -> PiecewiseDistribution:
-    return ud.to_piecewise()
-
-
-def cdf(ud: Distribution, x: float) -> float:
-    """Evaluate the distribution at x (0 below the support, 1 above it)."""
-    return ud.cdf(x)
-
-
 def inverse_cdf(ud: Distribution, gamma: float) -> float:
     """Generic inverse inf{x : cdf(x) >= gamma}, gamma in (0, 1), always
     through the piecewise form (``ud.inverse`` is a native closed form)."""
-    return as_piecewise(ud).inverse(gamma)
+    return ud.to_piecewise().inverse(gamma)
 
 
 def expected_value(ud: Distribution, method: str = "analytic") -> float:
@@ -503,7 +492,7 @@ def expected_value(ud: Distribution, method: str = "analytic") -> float:
     by adaptive quadrature instead (tolerance 1e-10, depth cap 60).  The
     two agree to well below 1e-8 on every family in this package.
     """
-    pw = as_piecewise(ud)
+    pw = ud.to_piecewise()
     if method == "analytic":
         return pw.expected_value()
     if method == "simpson":
@@ -559,7 +548,7 @@ def check_regularity(
     """
     if grid_points < 2:
         raise ValueError(f"grid_points must be at least 2, got {grid_points!r}")
-    pw = as_piecewise(ud)
+    pw = ud.to_piecewise()
     lo, hi = pw.support
     left, right = lo - 1.0, hi + 1.0
     step = (right - left) / (grid_points - 1)

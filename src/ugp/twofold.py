@@ -51,7 +51,6 @@ __all__ = [
     "surface_at",
     "twofold_cdf",
     "reduce_twofold",
-    "reduced_inverse",
     "curve_samples",
 ]
 
@@ -193,13 +192,6 @@ def reduce_twofold(
     """
     k = criterion.multiplier(tf.theta_l, tf.theta_r)
     return PiecewiseDistribution.from_family(tf.params, k)
-
-
-def reduced_inverse(
-    tf: TwoFoldVariable, criterion: ReductionCriterion, gamma: float
-) -> float:
-    """Inverse of the reduced distribution at gamma in (0, 1)."""
-    return reduce_twofold(tf, criterion).inverse(gamma)
 
 
 def curve_samples(

@@ -19,7 +19,6 @@ from ugp.distributions import (
     LinearDistribution,
     TrapezoidalDistribution,
     TriangularDistribution,
-    as_piecewise,
     check_regularity,
     critical_value,
     expected_value,
@@ -166,7 +165,7 @@ def test_criterion_4_closed_form_equivalence_suite():
                 if np.min(np.diff(pts)) > 1e-2:
                     break
             ud = cls(*pts)
-            pw = as_piecewise(ud)
+            pw = ud.to_piecewise()
             alpha = float(rng.uniform(0.01, 0.99))
             checks = [
                 ("optimistic", critical_value(ud, ReductionCriterion.optimistic(alpha)),

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from ugp.chance import (
-    ChanceConfig,
     FailedRow,
     SweepRow,
     UncertainGPProblem,
@@ -83,9 +82,9 @@ class TestProblemValidation:
 
     def test_gamma_validation(self):
         with pytest.raises(AlphaOutOfRange):
-            ChanceConfig(gamma=0.0)
+            solve_chance(TRI_PROBLEM, 0.0)
         with pytest.raises(AlphaOutOfRange):
-            ChanceConfig(gamma=1.0)
+            solve_chance(TRI_PROBLEM, 1.0)
 
 
 class TestReduceProblem:
@@ -184,7 +183,7 @@ def dual_value_oracle(betas, constraint_coeff) -> float:
 
 class TestSolveChance:
     def test_triangular_benchmark_row(self):
-        row = solve_chance(TRI_PROBLEM, ChanceConfig(gamma=0.5))
+        row = solve_chance(TRI_PROBLEM, 0.5)
         assert row.x_star == pytest.approx((3.063, 1.789, 1.405), abs=5e-3)
         assert row.delta_star == pytest.approx((1 / 3, 1 / 3, 1 / 3, 2 / 3), abs=1e-9)
 
@@ -198,7 +197,7 @@ class TestSolveChance:
     def test_constraint_active_at_solution(self):
         reduced = reduce_problem(TRI_PROBLEM, ReductionCriterion.expected())
         for gamma in (0.1, 0.5, 0.9):
-            row = solve_chance(TRI_PROBLEM, ChanceConfig(gamma=gamma))
+            row = solve_chance(TRI_PROBLEM, gamma)
             ud, _ = reduced.constraints[0][0]
             assert np.prod(row.x_star) == pytest.approx(ud.inverse(gamma), abs=1e-8)
 
@@ -211,7 +210,7 @@ class TestSolveChance:
                 UncertainTerm(coeff, (-1.0,)),
             )
         )
-        row = solve_chance(problem, ChanceConfig(gamma=0.5))
+        row = solve_chance(problem, 0.5)
         assert row.x_star[0] == pytest.approx(1.0, abs=1e-10)
         assert row.expected_objective == pytest.approx(2.0, abs=1e-10)
 

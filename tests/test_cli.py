@@ -203,7 +203,7 @@ class TestExitCodes:
             def fail(*args, error=error):
                 raise error
 
-            monkeypatch.setattr(ugp.cli, "sweep", fail)
+            monkeypatch.setattr(ugp.chance, "sweep", fail)
             assert cls.exit_code == codes[cls.__name__]
             assert main(["solve", path, "--gamma", "0.5"]) == cls.exit_code
             assert capsys.readouterr().err == "error: pinned\n"
@@ -378,6 +378,18 @@ class TestSolveCommand:
         assert values[0] == 0.5
         assert values[-1] == pytest.approx(300.156, abs=1e-2)
         assert values[1:4] == pytest.approx([3.063, 1.789, 1.405], abs=5e-3)
+
+    def test_report_then_the_wrote_line(self, tmp_path, capsys):
+        out = tmp_path / "row.csv"
+        argv = ["solve", str(bundled_problem_path("triangular_case.json")),
+                "--gamma", "0.5", "-o", str(out)]
+        assert main(argv) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(" = ")[0] for line in lines] == [
+            "gamma", "x*", "delta*", "expected objective", "duality gap (relative)",
+            "constraint values", "stationarity residual", f"wrote {out}",
+        ]
+        assert lines[1] == "x* = (3.063308, 1.789434, 1.404642)"
 
     def test_amgm_solves_to_two(self, tmp_path):
         path = write_problem(tmp_path / "p.json", AMGM)
@@ -676,6 +688,16 @@ class TestUnwritableOutput:
             f"error: cannot write {out}: No such file or directory\n"
         )
         assert not out.parent.exists()
+
+    def test_solve_prints_no_report(self, tmp_path, capsys):
+        # the CSV is written before the report, so a failed write shows no
+        # solved report on stdout next to its nonzero exit
+        out = tmp_path / "missing" / "x.csv"
+        argv = ["solve", self.TRIANGULAR, "--gamma", "0.5", "-o", str(out)]
+        assert main(argv) == EXIT_DOMAIN
+        assert capsys.readouterr() == (
+            "", f"error: cannot write {out}: No such file or directory\n"
+        )
 
     def test_sweep_to_a_directory(self, tmp_path, capsys):
         argv = ["sweep", self.TRIANGULAR, "--gammas", "0.5", "-o", str(tmp_path)]

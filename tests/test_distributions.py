@@ -13,8 +13,6 @@ from ugp.distributions import (
     ReductionCriterion,
     TrapezoidalDistribution,
     TriangularDistribution,
-    as_piecewise,
-    cdf,
     check_regularity,
     critical_value,
     expected_value,
@@ -103,7 +101,7 @@ class TestEvaluation:
         for family in ("linear", "triangular", "trapezoidal"):
             for _ in range(20):
                 ud = random_family(rng, family)
-                pw = as_piecewise(ud)
+                pw = ud.to_piecewise()
                 lo, hi = ud.support
                 xs = np.linspace(lo - 1, hi + 1, 200)
                 native = [ud.cdf(x) for x in xs]
@@ -147,9 +145,9 @@ def _cdf_cases() -> dict[str, PiecewiseDistribution]:
             ReductionCriterion.pessimistic(0.7),
         ):
             cases[f"{family}-{criterion.kind}"] = reduce_twofold(tf, criterion)
-    cases["linear"] = as_piecewise(LinearDistribution(-3.0, 5.0))
-    cases["triangular"] = as_piecewise(TriangularDistribution(2, 4, 5))
-    cases["trapezoidal"] = as_piecewise(TrapezoidalDistribution(2, 4, 6, 8))
+    cases["linear"] = LinearDistribution(-3.0, 5.0).to_piecewise()
+    cases["triangular"] = TriangularDistribution(2, 4, 5).to_piecewise()
+    cases["trapezoidal"] = TrapezoidalDistribution(2, 4, 6, 8).to_piecewise()
     # negative controls: not monotone, or not continuous
     cases["wavy"] = PiecewiseDistribution(
         (0.0, 1.0, 2.0, 3.0),
@@ -264,6 +262,23 @@ class TestInversion:
         for gamma in (0.31, 0.5, 0.69):
             assert pw.inverse(gamma) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "breakpoints, pieces, gamma",
+        [
+            # cdf jumps from 0.3 to a flat 0.6 at x = 1: gamma lands on the flat
+            ((0.0, 1.0, 2.0, 3.0), (ramp(0.0, 0.3), flat(0.6), ramp(-0.2, 0.4)), 0.5),
+            # the only piece tops out at 0.5, below gamma
+            ((0.0, 1.0), (ramp(0.0, 0.5),), 0.9),
+        ],
+        ids=["flat-after-jump", "no-piece-reaches"],
+    )
+    def test_inverse_lands_on_a_breakpoint(self, breakpoints, pieces, gamma):
+        pw = PiecewiseDistribution(breakpoints, pieces)
+        assert pw.inverse(gamma) == 1.0
+        lo, hi = pw.support
+        bisected = bisect_increasing(pw.cdf, lo, hi, gamma)
+        assert bisected == pytest.approx(pw.inverse(gamma), abs=1e-12)
+
     def test_roundtrip_on_strictly_increasing_families(self):
         rng = np.random.default_rng(21)
         for family in ("linear", "triangular", "trapezoidal"):
@@ -338,7 +353,7 @@ class TestCriticalValues:
         for family in ("linear", "triangular", "trapezoidal"):
             for _ in range(30):
                 ud = random_family(rng, family)
-                pw = as_piecewise(ud)
+                pw = ud.to_piecewise()
                 alpha = rng.uniform(0.02, 0.98)
                 opt = ReductionCriterion.optimistic(alpha)
                 pess = ReductionCriterion.pessimistic(alpha)
@@ -413,6 +428,10 @@ class TestExpectedValue:
         assert pw.expected_value() == pytest.approx(1.0, abs=1e-12)
         assert pw.expected_by_quadrature() == pytest.approx(1.0, abs=1e-7)
 
+    def test_unknown_method_rejected(self):
+        with pytest.raises(ValueError, match="^unknown method 'bogus'$"):
+            expected_value(TriangularDistribution(2, 4, 5), "bogus")
+
 
 class TestNumericUtilities:
     def test_bisection_locates_target(self):
@@ -422,6 +441,14 @@ class TestNumericUtilities:
     def test_bisection_flat_target_left_endpoint(self):
         f = lambda x: 0.5
         assert bisect_increasing(f, 1.0, 3.0, 0.5) == 1.0
+
+    def test_bisection_unreachable_target_right_endpoint(self):
+        assert bisect_increasing(lambda x: x, 0.0, 2.0, 5.0) == 2.0
+
+    def test_simpson_empty_and_reversed_intervals(self):
+        f = lambda x: x**3
+        assert adaptive_simpson(f, 1.5, 1.5) == 0.0
+        assert adaptive_simpson(f, 2.0, 0.0) == -adaptive_simpson(f, 0.0, 2.0)
 
     def test_simpson_polynomial_exact(self):
         assert adaptive_simpson(lambda x: x**3, 0.0, 2.0) == pytest.approx(4.0, abs=1e-12)
@@ -469,7 +496,7 @@ class TestRegularity:
             (ramp(0.0, 0.5), (0.9, 0.0, -0.3, 1.0), ramp(-0.2, 0.4)),
         )
         for ud in (wavy, TrapezoidalDistribution(2, 4, 6, 8)):
-            pw = as_piecewise(ud)
+            pw = ud.to_piecewise()
             lo, hi = pw.support
             n = 500
             step = (hi + 1.0 - (lo - 1.0)) / (n - 1)

@@ -142,6 +142,15 @@ class TestSolveDual:
         with pytest.raises(InfeasibleDual):
             solve_gp(gp)
 
+    def test_zero_forced_weights_are_infeasible(self):
+        # min 1/x + x + y + xy: y-orthogonality forces the weights of y and
+        # xy to 0, so no dual point is strictly positive (DoD 1)
+        gp = DeterministicGP(
+            Posynomial((1.0,) * 4, ((-1.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)))
+        )
+        with pytest.raises(InfeasibleDual, match="admit no strictly positive solution"):
+            solve_gp(gp)
+
     def test_too_few_terms_rejected(self):
         gp = DeterministicGP(Posynomial((1.0,), ((1.0,),)))
         with pytest.raises(DegreeOfDifficultyNegative):

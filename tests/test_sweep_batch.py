@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 import ugp.gp
 from ugp.chance import (
-    ChanceConfig,
     FailedRow,
     SweepRow,
     UncertainGPProblem,
@@ -106,7 +105,7 @@ MIXED_GRID = [0.3, 0.0, 0.5, 1.0, 1.5, math.nan, 0.7]
 def per_gamma(uncertain_problem, gamma, criterion):
     """What solve_chance reports at gamma: a SweepRow or (class, message)."""
     try:
-        return solve_chance(uncertain_problem, ChanceConfig(gamma, criterion))
+        return solve_chance(uncertain_problem, gamma, criterion)
     except (ValueError, RuntimeError) as exc:
         return type(exc).__name__, str(exc)
 
@@ -178,7 +177,7 @@ class TestFailuresKeepTheirPlace:
         with pytest.raises(ValueError) as from_sweep:
             sweep(bad, [0.5])
         with pytest.raises(ValueError) as from_solve:
-            solve_chance(bad, ChanceConfig(0.5))
+            solve_chance(bad, 0.5)
         assert str(from_sweep.value) == str(from_solve.value)
 
     @pytest.mark.parametrize("name", sorted(STRUCTURAL_FAILURES))
@@ -245,7 +244,7 @@ class TestOverflow:
 
     def test_solve_chance_raises(self):
         with pytest.raises(NumericalRangeError, match="overflow"):
-            solve_chance(self.OVERFLOWING, ChanceConfig(0.5))
+            solve_chance(self.OVERFLOWING, 0.5)
 
     def test_sweep_rows_fail(self):
         rows = sweep(self.OVERFLOWING, [0.3, 0.5])
@@ -448,14 +447,14 @@ class TestBatchAgreesWithPerGammaSolves:
         _, bundled = load_problem(bundled_problem_path(name))
         rows = sweep(bundled, GRID_99, CRITERIA[criterion])
         for gamma, row in zip(GRID_99, rows):
-            reference = solve_chance(bundled, ChanceConfig(gamma, CRITERIA[criterion]))
+            reference = solve_chance(bundled, gamma, CRITERIA[criterion])
             assert_rows_agree(row, reference)
 
     def test_newton_rows(self):
         gammas = [0.15, 0.5, 0.85]
         rows = sweep(DOD1_PROBLEM, gammas)
         for gamma, row in zip(gammas, rows):
-            assert_rows_agree(row, solve_chance(DOD1_PROBLEM, ChanceConfig(gamma)))
+            assert_rows_agree(row, solve_chance(DOD1_PROBLEM, gamma))
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(data=st.data())

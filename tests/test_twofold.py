@@ -12,7 +12,6 @@ from ugp.twofold import (
     TwoFoldVariable,
     curve_samples,
     reduce_twofold,
-    reduced_inverse,
     surface_at,
     twofold_cdf,
 )
@@ -45,6 +44,12 @@ class TestConstruction:
             TwoFoldVariable.triangular(2, 4, 5, 0.5, 1.2)
         with pytest.raises(ValueError):
             TwoFoldVariable("gaussian", (0.0, 1.0), 0.5, 0.5)
+
+    def test_parameter_count_follows_the_family(self):
+        with pytest.raises(
+            ValueError, match="^triangular family takes 3 parameters, got 4$"
+        ):
+            TwoFoldVariable("triangular", (1.0, 2.0, 3.0, 4.0), 0.5, 0.5)
 
     @pytest.mark.parametrize(
         "family, params",
@@ -308,20 +313,18 @@ class TestReduce:
 class TestReducedInverse:
     def test_expected_inverse_hits_mode(self):
         tf = TwoFoldVariable.triangular(6, 8, 9, 0.5, 0.7)
-        assert reduced_inverse(tf, ReductionCriterion.expected(), 2 / 3) == pytest.approx(
-            8.0, abs=1e-12
-        )
+        reduced = reduce_twofold(tf, ReductionCriterion.expected())
+        assert reduced.inverse(2 / 3) == pytest.approx(8.0, abs=1e-12)
 
     def test_inverse_approaches_lower_support(self):
         tf = TwoFoldVariable.triangular(10, 20, 25, 0.5, 0.6)
-        value = reduced_inverse(tf, ReductionCriterion.expected(), 1e-9)
+        value = reduce_twofold(tf, ReductionCriterion.expected()).inverse(1e-9)
         assert 10.0 < value < 10.001
 
     def test_trapezoidal_affine_branch(self):
         tf = TwoFoldVariable.trapezoidal(30, 40, 50, 60, 0.4, 0.6)
-        assert reduced_inverse(tf, ReductionCriterion.expected(), 0.5) == pytest.approx(
-            490 / 11, abs=1e-12
-        )
+        reduced = reduce_twofold(tf, ReductionCriterion.expected())
+        assert reduced.inverse(0.5) == pytest.approx(490 / 11, abs=1e-12)
 
     def test_roundtrip(self):
         rng = np.random.default_rng(31)
@@ -334,10 +337,11 @@ class TestReducedInverse:
             assert reduced.cdf(inverses) == pytest.approx(gammas, abs=1e-9)
 
     def test_gamma_validation(self):
+        reduced = reduce_twofold(TRI_EXAMPLE, ReductionCriterion.expected())
         with pytest.raises(AlphaOutOfRange):
-            reduced_inverse(TRI_EXAMPLE, ReductionCriterion.expected(), 0.0)
+            reduced.inverse(0.0)
         with pytest.raises(AlphaOutOfRange):
-            reduced_inverse(TRI_EXAMPLE, ReductionCriterion.expected(), 1.0)
+            reduced.inverse(1.0)
 
     def test_scalar_inverse_returns_a_float(self):
         reduced = reduce_twofold(TRA_EXAMPLE, ReductionCriterion.optimistic(0.3))
