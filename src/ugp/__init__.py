@@ -2,111 +2,18 @@
 
 Public surface: the single-fold distribution machinery, two-fold
 variables with their reduction criteria, the posynomial GP dual solver,
-and the chance-constrained pipeline tying them together.
+and the chance-constrained pipeline tying them together.  Each module's
+``__all__`` declares its share; this package re-exports their union.
 """
 
-from .chance import (
-    FailedRow,
-    ReducedGPProblem,
-    SweepRow,
-    UncertainGPProblem,
-    UncertainTerm,
-    deterministic_form,
-    reduce_problem,
-    solve_chance,
-    sweep,
-)
-from .distributions import (
-    LinearDistribution,
-    PiecewiseDistribution,
-    RegularityReport,
-    TrapezoidalDistribution,
-    TriangularDistribution,
-    check_regularity,
-    critical_value,
-    expected_value,
-    inverse_cdf,
-)
-from .errors import (
-    AlphaOutOfRange,
-    DegreeOfDifficultyNegative,
-    InfeasibleDual,
-    NonConvergence,
-    NumericalRangeError,
-    ProblemFormatError,
-    QuadratureNonConvergence,
-    RankDeficient,
-    UGPError,
-    YOutOfRange,
-)
-from .gp import (
-    DeterministicGP,
-    DualProblem,
-    DualSolution,
-    DualStructure,
-    GPDiagnostics,
-    Posynomial,
-    build_dual,
-    degree_of_difficulty,
-    solve_gp,
-    verify_solution,
-)
-from .twofold import (
-    ReductionCriterion,
-    TwoFoldSurfacePoint,
-    TwoFoldVariable,
-    curve_samples,
-    reduce_twofold,
-    surface_at,
-    twofold_cdf,
-)
+from . import chance, distributions, errors, gp, twofold
+from .chance import *  # noqa: F401,F403
+from .distributions import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .gp import *  # noqa: F401,F403
+from .twofold import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlphaOutOfRange",
-    "DegreeOfDifficultyNegative",
-    "DeterministicGP",
-    "DualProblem",
-    "DualSolution",
-    "DualStructure",
-    "FailedRow",
-    "GPDiagnostics",
-    "InfeasibleDual",
-    "LinearDistribution",
-    "NonConvergence",
-    "NumericalRangeError",
-    "PiecewiseDistribution",
-    "Posynomial",
-    "ProblemFormatError",
-    "QuadratureNonConvergence",
-    "RankDeficient",
-    "ReducedGPProblem",
-    "ReductionCriterion",
-    "RegularityReport",
-    "SweepRow",
-    "TrapezoidalDistribution",
-    "TriangularDistribution",
-    "TwoFoldSurfacePoint",
-    "TwoFoldVariable",
-    "UGPError",
-    "UncertainGPProblem",
-    "UncertainTerm",
-    "YOutOfRange",
-    "build_dual",
-    "check_regularity",
-    "critical_value",
-    "curve_samples",
-    "degree_of_difficulty",
-    "deterministic_form",
-    "expected_value",
-    "inverse_cdf",
-    "reduce_problem",
-    "reduce_twofold",
-    "solve_chance",
-    "solve_gp",
-    "surface_at",
-    "sweep",
-    "twofold_cdf",
-    "verify_solution",
-]
+_MODULES = (chance, distributions, errors, gp, twofold)
+__all__ = sorted({name for module in _MODULES for name in module.__all__})

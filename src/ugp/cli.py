@@ -51,12 +51,9 @@ from .chance import (
     solve_chance,
     sweep,
 )
-from .errors import (  # the EXIT_* codes are also read from ugp.cli
-    EXIT_DOD,
+from .errors import (
     EXIT_DOMAIN,
-    EXIT_NONCONVERGENCE,
     EXIT_OK,
-    EXIT_PARSE,
     AlphaOutOfRange,
     ProblemFormatError,
     UGPError,
@@ -73,6 +70,14 @@ def _fmt(value: float) -> str:
     return format(value, ".17g")
 
 
+def _as_float(value: int | float) -> float:
+    """float(value), reading an int beyond the double range as +-inf."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 # ---------------------------------------------------------------------------
 # Problem files
 # ---------------------------------------------------------------------------
@@ -84,8 +89,8 @@ def load_problem(path: str | Path) -> tuple[list[str], UncertainGPProblem]:
     Schema violations, a boolean where a number belongs among them, raise
     ProblemFormatError; value violations (params not increasing, thetas
     outside [0, 1], ...) surface as ValueError from the domain
-    constructors.  JSON's NaN and Infinity are rejected with a ValueError
-    naming the field.
+    constructors.  JSON's NaN and Infinity, and integers too large for a
+    double, are rejected with a ValueError naming the field.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -144,14 +149,14 @@ def load_problem(path: str | Path) -> tuple[list[str], UncertainGPProblem]:
                 raise ProblemFormatError(
                     f"{where}: exponent for {name!r} must be a number"
                 )
-            row[variables.index(name)] = float(power)
+            row[variables.index(name)] = _as_float(power)
         for key, values in (
             ("params", params),
             ("theta_l", [record["theta_l"]]),
             ("theta_r", [record["theta_r"]]),
             ("exponents", row),
         ):
-            if not all(math.isfinite(v) for v in values):
+            if not all(math.isfinite(_as_float(v)) for v in values):
                 raise ValueError(f"{where}: field '{key}' must be finite, got {values}")
         coefficient = TwoFoldVariable(
             family,

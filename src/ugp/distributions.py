@@ -200,10 +200,10 @@ class PiecewiseDistribution:
     def expected_by_quadrature(self) -> float:
         """Same integral via adaptive Simpson on the inverse, per gamma panel."""
         knots = [0.0]
-        for row in self._rows:
-            g = _piece_value(row[2:6], row[1])
-            if g > knots[-1]:
-                knots.append(min(g, 1.0))
+        for top in self._reach:
+            top = min(top, 1.0)
+            if top > knots[-1]:
+                knots.append(top)
         if knots[-1] < 1.0:
             knots.append(1.0)
         panel_tol = _SIMPSON_TOL / max(len(knots) - 1, 1)

@@ -5,6 +5,19 @@ its exit code as the class attribute ``exit_code``; a plain ``ValueError``
 from outside the package maps to ``EXIT_DOMAIN`` as well.
 """
 
+__all__ = [
+    "UGPError",
+    "AlphaOutOfRange",
+    "YOutOfRange",
+    "QuadratureNonConvergence",
+    "DegreeOfDifficultyNegative",
+    "InfeasibleDual",
+    "NonConvergence",
+    "RankDeficient",
+    "NumericalRangeError",
+    "ProblemFormatError",
+]
+
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_DOMAIN = 3

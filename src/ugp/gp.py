@@ -463,7 +463,13 @@ class DualStructure:
     ) -> tuple[np.ndarray, list[RankDeficient | None]]:
         """log x* per row, the least-squares solution of each row's active
         recovery rows; rows whose active set is rank deficient get NaN and
-        the error."""
+        the error.
+
+        Rows sharing an active set share one thin SVD of its exponent rows,
+        which gives both the rank (with numpy's matrix_rank tolerance) and,
+        at full column rank, the least-squares solution of every such row:
+        log x = V diag(1/s) U^T rhs.
+        """
         log_x = np.full((len(active), self.n_variables), np.nan)
         failures: list[RankDeficient | None] = [None] * len(active)
         groups: dict[bytes, list[int]] = {}
@@ -471,33 +477,18 @@ class DualStructure:
             groups.setdefault(mask.tobytes(), []).append(i)
         for members in groups.values():
             mask = active[members[0]]
-            svd = self._recovery_svd(mask)
-            if isinstance(svd, RankDeficient):
+            u, s, vt = np.linalg.svd(self.exponent_matrix[mask], full_matrices=False)
+            tol = s.max(initial=0.0) * max(int(mask.sum()), self.n_variables)
+            rank = int((s > tol * np.finfo(float).eps).sum())
+            if rank < self.n_variables:
+                error = RankDeficient(
+                    f"active exponent rows have rank {rank} < {self.n_variables}"
+                )
                 for i in members:
-                    failures[i] = svd
+                    failures[i] = error
             else:
-                u, s, vt = svd
                 log_x[members] = (targets[np.ix_(members, mask)] @ u) / s @ vt
         return log_x, failures
-
-    def _recovery_svd(
-        self, mask: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | RankDeficient:
-        """Thin SVD of an active set's exponent rows, or RankDeficient if
-        they cannot determine every variable.
-
-        One SVD gives both the rank (with numpy's matrix_rank tolerance)
-        and, at full column rank, the least-squares solution of every row
-        sharing the active set: log x = V diag(1/s) U^T rhs.
-        """
-        u, s, vt = np.linalg.svd(self.exponent_matrix[mask], full_matrices=False)
-        tol = s.max(initial=0.0) * max(int(mask.sum()), self.n_variables)
-        rank = int((s > tol * np.finfo(float).eps).sum())
-        if rank < self.n_variables:
-            return RankDeficient(
-                f"active exponent rows have rank {rank} < {self.n_variables}"
-            )
-        return u, s, vt
 
     def _verify(
         self,

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import (
+    LinearDistribution,
     PiecewiseDistribution,
     ReductionCriterion,
     TrapezoidalDistribution,
@@ -174,11 +175,7 @@ def twofold_cdf(tf: TwoFoldVariable, x: float, y: float) -> float:
     lo, hi = point.lower, point.upper
     if hi == lo:
         return 1.0 if y >= hi else 0.0
-    if y <= lo:
-        return 0.0
-    if y >= hi:
-        return 1.0
-    return (y - lo) / (hi - lo)
+    return LinearDistribution(lo, hi).cdf(y)
 
 
 def reduce_twofold(

@@ -6,9 +6,11 @@ failed row, which is a result the program reports.  dod-sweep runs ops
 0-4: four binding problems and one problem with a slack block, whose four
 rows fail with NonConvergence, so the failed-row path of the checks runs
 too.  The rows of dod-sweep's whole first round (ops 0-24) are pinned by
-hash.  Traced, the same passes (dod-sweep: its binding ops 0-3) must
-record calls in four layers that the benchmark's per-layer metrics name,
-so that a rename in ``ugp`` cannot silently break the tracer.  One
+hash, and each of those ops passes the benchmark's solver-neutral
+checks except as failed rows of its slack ops.  Traced, the same passes
+(dod-sweep: its binding ops 0-3) must record calls in four layers that
+the benchmark's per-layer metrics name, so that a rename in ``ugp``
+cannot silently break the tracer.  One
 well-posed dod-sweep problem whose rows the dual Newton cannot yet solve
 is an expected failure.
 """
@@ -85,7 +87,18 @@ ROUND_0_DIGEST = "7572e19532f896fe413c79aba7a10ee9b5e6028bce1dfa476cb7aaec6db08b
 def test_dod_sweep_round_0_rows_are_pinned(bench, tmp_path):
     _, workloads = bench
     wl = workloads.DodSweep(1, tmp_path)
-    rows = [row for i in range(wl.round) for row in wl.run(wl.input(wl.key(i)))]
+    rows = []
+    for i in range(wl.round):
+        inp = wl.input(wl.key(i))
+        out = wl.run(inp)
+        rows += out
+        # the solver-neutral checks: only a slack op may fail, and only
+        # as a failed row
+        slack = workloads.dod_shape(i)[2]
+        for unit in wl.check(inp, wl.capture(inp, out)):
+            assert unit == [] or (
+                slack and len(unit) == 1 and unit[0].startswith("failed_row.")
+            ), (i, unit)
     assert len(rows) == wl.round * wl.units
     text = "\n".join(map(repr, rows))
     assert hashlib.sha256(text.encode()).hexdigest() == ROUND_0_DIGEST

@@ -12,18 +12,16 @@ import pytest
 
 import ugp.cli
 import ugp.errors
-from ugp.cli import (
+from ugp.cli import bundled_problem_path, load_problem, main
+from ugp.chance import UncertainGPProblem
+from ugp.distributions import TriangularDistribution
+from ugp.errors import (
     EXIT_DOD,
     EXIT_DOMAIN,
     EXIT_OK,
     EXIT_PARSE,
-    bundled_problem_path,
-    load_problem,
-    main,
+    ProblemFormatError,
 )
-from ugp.chance import UncertainGPProblem
-from ugp.distributions import TriangularDistribution
-from ugp.errors import ProblemFormatError
 
 
 def write_problem(path, doc) -> str:
@@ -115,6 +113,10 @@ class TestProblemFiles:
             ("theta_l", float("nan")),
             ("theta_r", float("-inf")),
             ("exponents", {"x": float("nan")}),
+            # integers too large for a double
+            pytest.param("params", [2, 4, 10**400], id="params-huge"),
+            pytest.param("theta_l", 10**400, id="theta_l-huge"),
+            pytest.param("exponents", {"x": -(10**400)}, id="exponents-huge"),
         ],
     )
     def test_nonfinite_values_name_the_field(self, tmp_path, capsys, field, value):

@@ -10,7 +10,10 @@
   parameters by s**(sum of its exponents), divides x* by s and leaves the
   objective and the dual weights unchanged;
 * criterion identities: expected is optimistic(1/2), and pessimistic(a)
-  is optimistic(1 - a).
+  is optimistic(1 - a);
+* translation (the beta3 - beta1 law): adding t to every parameter of a
+  two-fold coefficient, thetas fixed, adds t to its reduced inverse at
+  every gamma and to its expected value, under every criterion.
 
 They hold for every feasible problem, so they also guard a change of the
 dual solver.  Rows that the dual Newton cannot solve after a rescaling
@@ -26,7 +29,7 @@ import pytest
 
 from ugp.chance import SweepRow, UncertainGPProblem, UncertainTerm, sweep
 from ugp.cli import bundled_problem_path, load_problem
-from ugp.twofold import ReductionCriterion, TwoFoldVariable
+from ugp.twofold import ReductionCriterion, TwoFoldVariable, reduce_twofold
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 BUNDLED = ["triangular_case.json", "trapezoidal_case.json"]
@@ -37,6 +40,7 @@ CRITERIA = {
 }
 GRID_199 = [round(0.005 * i, 12) for i in range(1, 200)]
 GRID_9 = [round(0.1 * i, 12) for i in range(1, 10)]
+GRID_19 = [round(0.05 * i, 12) for i in range(1, 20)]
 
 
 def solved(problem, gammas, criterion) -> list[SweepRow]:
@@ -215,3 +219,24 @@ def test_badly_scaled_row_solves(problems, base, law, factor, op, gamma):
     else:
         (row,) = sweep(scale_objective(problems["dod"][op], factor), [gamma])
         assert_agree(row, ref, TOL["dod"], objective_factor=factor)
+
+
+@pytest.mark.parametrize("t", [5.0, 0.25, 100.0])
+@pytest.mark.parametrize("criterion", sorted(CRITERIA))
+def test_translation_shifts_inverse_and_expected_value(criterion, t):
+    for name in BUNDLED:
+        _, problem = load_problem(bundled_problem_path(name))
+        for block in (problem.objective, *problem.constraints):
+            for term in block:
+                tf = term.coefficient
+                shifted = TwoFoldVariable(
+                    tf.family, tuple(p + t for p in tf.params), tf.theta_l, tf.theta_r
+                )
+                base = reduce_twofold(tf, CRITERIA[criterion])
+                moved = reduce_twofold(shifted, CRITERIA[criterion])
+                tol = 1e-12 * shifted.params[-1]
+                for gamma in GRID_19:
+                    deviation = moved.inverse(gamma) - (base.inverse(gamma) + t)
+                    assert abs(deviation) <= tol, (name, tf, gamma)
+                deviation = moved.expected_value() - (base.expected_value() + t)
+                assert abs(deviation) <= tol, (name, tf)

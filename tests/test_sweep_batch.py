@@ -7,8 +7,10 @@ same places and does the gamma-free work once.
 """
 
 import hashlib
+import importlib
 import json
 import math
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -28,19 +30,20 @@ from ugp.chance import (
     solve_chance,
     sweep,
 )
-from ugp.cli import (
+from ugp.cli import bundled_problem_path, load_problem, main
+from ugp.errors import (
     EXIT_DOD,
     EXIT_DOMAIN,
     EXIT_NONCONVERGENCE,
-    bundled_problem_path,
-    load_problem,
-    main,
+    NonConvergence,
+    NumericalRangeError,
 )
-from ugp.errors import NonConvergence, NumericalRangeError
 from ugp.gp import DualStructure, build_dual, solve_gp
 from ugp.twofold import ReductionCriterion, TwoFoldVariable
 
 from support import grid_search_minimum
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def crisp(value: float) -> TwoFoldVariable:
@@ -398,11 +401,30 @@ class TestNewtonPathIsPinned:
 
     def test_reported_lambda_and_dual_value_are_those_of_delta(self):
         # the block totals and V the Newton maximized, not another sum of
-        # the same weights
+        # the same weights; and each solved row passes the benchmark's
+        # solver-neutral checks (gap, constraints, dual conditions and the
+        # reported objective), against coefficients reduced without ugp
+        sys.path.insert(0, str(BENCH))
+        try:
+            oracle = importlib.import_module("oracle")
+        finally:
+            sys.path.remove(str(BENCH))
         solved = 0
         for uncertain_problem, gammas in NEWTON_SWEEPS:
+            blocks = (uncertain_problem.objective, *uncertain_problem.constraints)
+            terms = [(k, term) for k, block in enumerate(blocks) for term in block]
+            coefficients = [term.coefficient for _, term in terms]
+            data = oracle.GPData(
+                coefficients=tuple(
+                    oracle.Coefficient(c.params, c.theta_l, c.theta_r)
+                    for c in coefficients
+                ),
+                exponents=np.array([term.exponents for _, term in terms]),
+                blocks=np.array([k for k, _ in terms]),
+            )
+            betas = data.deterministic("expected", None, gammas)
             reduced = reduce_problem(uncertain_problem, ReductionCriterion.expected())
-            for gamma in gammas:
+            for gamma, beta in zip(gammas, betas):
                 gp = deterministic_form(reduced, gamma)
                 try:
                     sol = solve_gp(gp)
@@ -415,6 +437,10 @@ class TestNewtonPathIsPinned:
                 assert np.array(sol.lam[1:]).tobytes() == lam.tobytes()
                 value = math.exp(dual.log_value(delta))
                 assert abs(sol.dual_value - value) <= 2 * math.ulp(value)
+                x = np.array(sol.primal_x)
+                objective = sol.diagnostics.primal_objective
+                failed = oracle.gp_check(data, beta, x, delta, objective)
+                assert failed == [], (gamma, failed)
         assert solved == 28
 
 
