@@ -5,17 +5,31 @@ reduced distributions are evaluated from the band formulas directly,
 expectations are computed by dense grid integration of 1 - cdf, the
 benchmark tables are solved exactly from the dual conditions, and GP
 minima are confirmed by multi-scale grid search in log space.  Nothing
-here imports ugp.
+here imports ugp; ``bench_module`` loads a module of the benchmark
+directory, some of which do.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 
 SQRT2 = math.sqrt(2.0)
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def bench_module(name: str):
+    """Import a module of the benchmark directory, which is no package."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        return importlib.import_module(name)
+    finally:
+        sys.path.remove(str(BENCH))
 
 
 # ---------------------------------------------------------------------------

@@ -20,10 +20,6 @@ dual solver.  Rows that the dual Newton cannot solve after a rescaling
 (finding F3 of ROADMAP item 2) are strict expected failures.
 """
 
-import importlib
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -31,7 +27,8 @@ from ugp.chance import SweepRow, UncertainGPProblem, UncertainTerm, sweep
 from ugp.cli import bundled_problem_path, load_problem
 from ugp.twofold import ReductionCriterion, TwoFoldVariable, reduce_twofold
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+from support import bench_module
+
 BUNDLED = ["triangular_case.json", "trapezoidal_case.json"]
 CRITERIA = {
     "expected": ReductionCriterion.expected(),
@@ -64,11 +61,7 @@ class TestGammaMonotonicity:
 
     def test_binding_problems_of_positive_degree_of_difficulty(self, tmp_path):
         # dod-sweep seed 1, round 0: the binding ops (every op but each fifth)
-        sys.path.insert(0, str(BENCH))
-        try:
-            workloads = importlib.import_module("workloads")
-        finally:
-            sys.path.remove(str(BENCH))
+        workloads = bench_module("workloads")
         wl = workloads.DodSweep(1, tmp_path)
         binding = [i for i in range(wl.round) if not workloads.dod_shape(i)[2]]
         assert len(binding) == 20
@@ -124,11 +117,7 @@ F3_ROWS = {
 @pytest.fixture(scope="module")
 def problems(tmp_path_factory) -> dict:
     """Input kind -> {name: problem}."""
-    sys.path.insert(0, str(BENCH))
-    try:
-        workloads = importlib.import_module("workloads")
-    finally:
-        sys.path.remove(str(BENCH))
+    workloads = bench_module("workloads")
     wl = workloads.DodSweep(1, tmp_path_factory.mktemp("dod"))
     binding = [i for i in range(wl.round) if not workloads.dod_shape(i)[2]]
     return {

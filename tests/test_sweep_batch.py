@@ -7,10 +7,8 @@ same places and does the gamma-free work once.
 """
 
 import hashlib
-import importlib
 import json
 import math
-import sys
 from collections import Counter
 from pathlib import Path
 
@@ -41,9 +39,7 @@ from ugp.errors import (
 from ugp.gp import DualStructure, build_dual, solve_gp
 from ugp.twofold import ReductionCriterion, TwoFoldVariable
 
-from support import grid_search_minimum
-
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+from support import bench_module, grid_search_minimum
 
 
 def crisp(value: float) -> TwoFoldVariable:
@@ -404,11 +400,7 @@ class TestNewtonPathIsPinned:
         # the same weights; and each solved row passes the benchmark's
         # solver-neutral checks (gap, constraints, dual conditions and the
         # reported objective), against coefficients reduced without ugp
-        sys.path.insert(0, str(BENCH))
-        try:
-            oracle = importlib.import_module("oracle")
-        finally:
-            sys.path.remove(str(BENCH))
+        oracle = bench_module("oracle")
         solved = 0
         for uncertain_problem, gammas in NEWTON_SWEEPS:
             blocks = (uncertain_problem.objective, *uncertain_problem.constraints)
