@@ -70,14 +70,6 @@ def _fmt(value: float) -> str:
     return format(value, ".17g")
 
 
-def _as_float(value: int | float) -> float:
-    """float(value), reading an int beyond the double range as +-inf."""
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf if value > 0 else -math.inf
-
-
 # ---------------------------------------------------------------------------
 # Problem files
 # ---------------------------------------------------------------------------
@@ -86,18 +78,19 @@ def _as_float(value: int | float) -> float:
 def load_problem(path: str | Path) -> tuple[list[str], UncertainGPProblem]:
     """Parse a JSON problem file into variable names and the problem.
 
-    Schema violations, a boolean where a number belongs among them, raise
-    ProblemFormatError; value violations (params not increasing, thetas
-    outside [0, 1], ...) surface as ValueError from the domain
-    constructors.  JSON's NaN and Infinity, and integers too large for a
-    double, are rejected with a ValueError naming the field.
+    Every JSON number is read as a double, so an integer beyond the double
+    range is +-inf, rejected like NaN and Infinity with a ValueError naming
+    the field.  Schema violations, a boolean where a number belongs or a
+    non-string ``family`` among them, raise ProblemFormatError; value
+    violations (params not increasing, thetas outside [0, 1], ...) surface
+    as the domain constructors' ValueError, prefixed with the term's place.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ProblemFormatError(f"cannot read problem file: {exc}") from exc
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_int=float)
     except json.JSONDecodeError as exc:
         raise ProblemFormatError(f"invalid JSON: {exc}") from exc
 
@@ -119,20 +112,19 @@ def load_problem(path: str | Path) -> tuple[list[str], UncertainGPProblem]:
         for key in ("family", "params", "theta_l", "theta_r", "exponents"):
             if key not in record:
                 raise ProblemFormatError(f"{where}: missing field '{key}'")
-        family = _FAMILIES.get(record["family"])
+        family = record["family"]
+        family = _FAMILIES.get(family) if isinstance(family, str) else None
         if family is None:
             raise ProblemFormatError(
                 f"{where}: field 'family' must be 'tri' or 'tra', "
                 f"got {record['family']!r}"
             )
         params = record["params"]
-        # type(), not isinstance(): JSON true/false load as bool, an int subclass
-        if not isinstance(params, list) or not all(
-            type(p) in (int, float) for p in params
-        ):
+        # every JSON number loads as a float, and JSON true/false as bool
+        if not isinstance(params, list) or not all(type(p) is float for p in params):
             raise ProblemFormatError(f"{where}: field 'params' must be a number list")
         for key in ("theta_l", "theta_r"):
-            if type(record[key]) not in (int, float):
+            if type(record[key]) is not float:
                 raise ProblemFormatError(f"{where}: field '{key}' must be a number")
         exponents = record["exponents"]
         if not isinstance(exponents, dict):
@@ -145,26 +137,26 @@ def load_problem(path: str | Path) -> tuple[list[str], UncertainGPProblem]:
                 raise ProblemFormatError(
                     f"{where}: exponent key {name!r} is not a declared variable"
                 )
-            if type(power) not in (int, float):
+            if type(power) is not float:
                 raise ProblemFormatError(
                     f"{where}: exponent for {name!r} must be a number"
                 )
-            row[variables.index(name)] = _as_float(power)
+            row[variables.index(name)] = power
         for key, values in (
             ("params", params),
             ("theta_l", [record["theta_l"]]),
             ("theta_r", [record["theta_r"]]),
             ("exponents", row),
         ):
-            if not all(math.isfinite(_as_float(v)) for v in values):
+            if not all(map(math.isfinite, values)):
                 raise ValueError(f"{where}: field '{key}' must be finite, got {values}")
-        coefficient = TwoFoldVariable(
-            family,
-            tuple(float(p) for p in params),
-            float(record["theta_l"]),
-            float(record["theta_r"]),
-        )
-        return UncertainTerm(coefficient=coefficient, exponents=tuple(row))
+        try:
+            coefficient = TwoFoldVariable(
+                family, tuple(params), record["theta_l"], record["theta_r"]
+            )
+            return UncertainTerm(coefficient=coefficient, exponents=tuple(row))
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from exc
 
     objective_doc = doc.get("objective")
     if not isinstance(objective_doc, list) or not objective_doc:

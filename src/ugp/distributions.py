@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -122,11 +121,6 @@ class PiecewiseDistribution:
         setattr_(self, "_rows", tuple(rows))
         setattr_(self, "_reach", reach)
 
-    @cached_property
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Interior breakpoints and the (4, pieces) coefficient table for ``cdf``."""
-        return np.array(self.breakpoints[1:-1]), np.array(self.pieces).T
-
     @property
     def support(self) -> tuple[float, float]:
         return self.breakpoints[0], self.breakpoints[-1]
@@ -139,7 +133,7 @@ class PiecewiseDistribution:
         in one call rather than point by point.
         """
         x = np.asarray(x, dtype=float)
-        inner, coef = self._arrays
+        inner, coef = np.array(self.breakpoints[1:-1]), np.array(self.pieces).T
         lo, hi = self.support
         inside = np.clip(x, lo, hi)
         # The count of interior breakpoints <= x is x's piece (hi: the last

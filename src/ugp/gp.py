@@ -127,14 +127,11 @@ class DeterministicGP:
     def n_variables(self) -> int:
         return self.objective.n_variables
 
-    @property
-    def total_terms(self) -> int:
-        return self.objective.n_terms + sum(b.n_terms for b in self.constraints)
-
 
 def degree_of_difficulty(gp: DeterministicGP) -> int:
     """Total term count minus (variable count + 1)."""
-    return gp.total_terms - (gp.n_variables + 1)
+    total_terms = gp.objective.n_terms + sum(b.n_terms for b in gp.constraints)
+    return total_terms - (gp.n_variables + 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,7 +264,7 @@ class DualStructure:
         self.exponent_matrix = np.asarray(exponent_matrix, dtype=float)
         self.term_blocks = np.asarray(term_blocks, dtype=int)
         self.n_constraints = int(self.term_blocks.max(initial=0))  # blocks 0..K
-        N, n = self.exponent_matrix.shape
+        N, n = self.n_terms, self.n_variables = self.exponent_matrix.shape
         self.A = np.vstack(  # the normality row, then n orthogonality rows
             [(self.term_blocks == 0).astype(float), self.exponent_matrix.T]
         )
@@ -304,14 +301,6 @@ class DualStructure:
             np.asarray(rows, dtype=float),
             np.repeat(np.arange(len(blocks)), [len(block) for block in blocks]),
         )
-
-    @property
-    def n_terms(self) -> int:
-        return int(self.exponent_matrix.shape[0])
-
-    @property
-    def n_variables(self) -> int:
-        return int(self.exponent_matrix.shape[1])
 
     def solve(self, coefficients: np.ndarray) -> list[DualSolution | Exception]:
         """Solve one GP per coefficient row, in order.

@@ -1,14 +1,18 @@
 """CLI surface: problem files, CSV outputs, exit codes, determinism."""
 
 import argparse
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import os
 import re
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ugp.cli
 import ugp.errors
@@ -24,8 +28,14 @@ from ugp.errors import (
 )
 
 
+# Stands for an integer of 5,001 digits, beyond CPython's 4,300-digit
+# limit on int/str conversion, so json.dumps cannot write it.
+HUGE = "<5001-digit integer>"
+
+
 def write_problem(path, doc) -> str:
-    path.write_text(json.dumps(doc), encoding="utf-8")
+    text = json.dumps(doc).replace(json.dumps(HUGE), "9" * 5001)
+    path.write_text(text, encoding="utf-8")
     return str(path)
 
 
@@ -117,6 +127,10 @@ class TestProblemFiles:
             pytest.param("params", [2, 4, 10**400], id="params-huge"),
             pytest.param("theta_l", 10**400, id="theta_l-huge"),
             pytest.param("exponents", {"x": -(10**400)}, id="exponents-huge"),
+            # and beyond CPython's 4,300-digit integer parser
+            pytest.param("params", [2, 4, HUGE], id="params-5001-digits"),
+            pytest.param("theta_l", HUGE, id="theta_l-5001-digits"),
+            pytest.param("exponents", {"x": HUGE}, id="exponents-5001-digits"),
         ],
     )
     def test_nonfinite_values_name_the_field(self, tmp_path, capsys, field, value):
@@ -127,8 +141,50 @@ class TestProblemFiles:
             load_problem(path)
         assert main(["solve", path, "--gamma", "0.5"]) == EXIT_DOMAIN
         message = capsys.readouterr().err
-        assert f"field '{field}' must be finite" in message
+        assert message.startswith(f"error: objective[1]: field '{field}' must be finite")
+        assert message.count("\n") == 1
         assert "rank" not in message  # the solver is never reached
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            (
+                "params",
+                [25, 20, 10],
+                "family parameters must be strictly increasing, got (25.0, 20.0, 10.0)",
+            ),
+            ("params", [1, 2, 3, 4], "triangular family takes 3 parameters, got 4"),
+            ("theta_r", 1.5, "theta_r must lie in [0, 1], got 1.5"),
+        ],
+        ids=["params-decreasing", "params-count", "theta_r-above-one"],
+    )
+    def test_domain_errors_name_the_term(self, tmp_path, capsys, field, value, message):
+        doc = json.loads(json.dumps(AMGM))
+        doc["objective"][1][field] = value
+        path = write_problem(tmp_path / "p.json", doc)
+        assert main(["solve", path, "--gamma", "0.5"]) == EXIT_DOMAIN
+        assert capsys.readouterr().err == f"error: objective[1]: {message}\n"
+
+    @pytest.mark.parametrize("field", ["thetas", "exponents"])
+    def test_integer_minus_zero_reads_as_zero(self, tmp_path, field):
+        # every JSON integer loads as a float, so -0 loads as -0.0
+        source = bundled_problem_path("trapezoidal_case.json").read_text()
+        outputs = []
+        for zero in ("0", "-0"):
+            doc = json.loads(source)
+            for term in doc["objective"] + doc["constraints"][0]:
+                if field == "thetas":
+                    term["theta_l"] = term["theta_r"] = "<zero>"
+                else:  # spell out every exponent the file leaves at zero
+                    for name in doc["variables"]:
+                        term["exponents"].setdefault(name, "<zero>")
+            path = tmp_path / f"{zero}.json"
+            path.write_text(json.dumps(doc).replace('"<zero>"', zero), encoding="utf-8")
+            out = tmp_path / f"{zero}.csv"
+            argv = ["sweep", str(path), "--gammas", "0.1:0.9:0.1", "-o", str(out)]
+            assert main(argv) == EXIT_OK
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize(
         "field, value",
@@ -180,16 +236,24 @@ ERROR_CLASSES = [
 ]
 
 
-def readme_exit_codes() -> dict[str, int]:
-    """Class name -> exit code, read from the README's exit-code table."""
+def readme_exit_table() -> list[tuple[int, str]]:
+    """(code, classes cell) per row of the README's exit-code table."""
     section = README.read_text(encoding="utf-8").split("### Exit codes", 1)[1]
-    codes = {}
+    rows = []
     for line in section.split("\n#", 1)[0].splitlines():
         cells = line.split("|")
         if len(cells) == 5 and cells[1].strip().isdigit():
-            for name in re.findall(r"`(\w+)`", cells[3]):
-                codes[name] = int(cells[1])
-    return codes
+            rows.append((int(cells[1]), cells[3]))
+    return rows
+
+
+def readme_exit_codes() -> dict[str, int]:
+    """Class name -> exit code, read from the README's exit-code table."""
+    return {
+        name: code
+        for code, classes in readme_exit_table()
+        for name in re.findall(r"`(\w+)`", classes)
+    }
 
 
 class TestExitCodes:
@@ -744,6 +808,18 @@ class TestValidationMessages:
                 "objective[0]: field 'family' must be 'tri' or 'tra', got 'lin'",
             ),
             (
+                {"objective": [term_record(family=["tri"])]},
+                "objective[0]: field 'family' must be 'tri' or 'tra', got ['tri']",
+            ),
+            (
+                {"objective": [term_record(family={"tri": "tra"})]},
+                "objective[0]: field 'family' must be 'tri' or 'tra', got {'tri': 'tra'}",
+            ),
+            (
+                {"objective": [term_record(family=3)]},
+                "objective[0]: field 'family' must be 'tri' or 'tra', got 3.0",
+            ),
+            (
                 {"objective": [term_record(exponents=[1])]},
                 "objective[0]: field 'exponents' must map variable names to reals",
             ),
@@ -758,6 +834,9 @@ class TestValidationMessages:
             "variables-duplicate",
             "term-not-object",
             "family-unknown",
+            "family-list",
+            "family-dict",
+            "family-number",
             "exponents-not-object",
             "objective-empty",
             "constraints-not-list",
@@ -805,3 +884,100 @@ class TestValidationMessages:
         monkeypatch.setattr(ugp.cli, "load_problem", load)
         assert main(["solve", "p.json", "--gamma", "0.5"]) == EXIT_DOMAIN
         assert capsys.readouterr().err == "error: constraint blocks cannot be empty\n"
+
+
+# ---------------------------------------------------------------------------
+# The CLI contract under mutation of the bundled problem files
+# ---------------------------------------------------------------------------
+
+BUNDLED_DOCS = {
+    name: json.loads(bundled_problem_path(name).read_text(encoding="utf-8"))
+    for name in ("triangular_case.json", "trapezoidal_case.json")
+}
+# what a mutation puts in place of a node: 10**400 is beyond a double,
+# HUGE beyond CPython's integer parser as well
+REPLACEMENTS = [
+    None, True, False, 0, -1, 1e308, 10**400, HUGE, "", [], {}, [1], {"a": 1}
+]
+FUZZ_COMMANDS = {
+    "sweep": ["--gammas", "0.1:0.9:0.2", "-o", os.devnull],
+    "solve": ["--gamma", "0.5"],
+    "reduce": ["--samples", "20", "-o", os.devnull],
+}
+
+
+def node_paths(node, path=()):
+    """The path of every node of a JSON document, the root's () first."""
+    yield path
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield from node_paths(child, (*path, key))
+
+
+def mutations(name: str) -> st.SearchStrategy:
+    """(file name, kind, path, value): replace one node with a value, delete
+    a key or list entry, or repeat a list entry."""
+    paths = list(node_paths(BUNDLED_DOCS[name]))
+    entries = [path for path in paths if path and isinstance(path[-1], int)]
+    return st.one_of(
+        st.tuples(
+            st.just(name), st.just("replace"), st.sampled_from(paths),
+            st.sampled_from(REPLACEMENTS),
+        ),
+        st.tuples(st.just(name), st.just("delete"), st.sampled_from(paths[1:]), st.none()),
+        st.tuples(st.just(name), st.just("repeat"), st.sampled_from(entries), st.none()),
+    )
+
+
+def mutated(name: str, kind: str, path: tuple, value) -> object:
+    if not path:
+        return value
+    doc = json.loads(json.dumps(BUNDLED_DOCS[name]))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    if kind == "replace":
+        parent[key] = value
+    elif kind == "delete":
+        del parent[key]
+    else:
+        parent.insert(key, parent[key])
+    return doc
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory) -> Path:
+    return tmp_path_factory.mktemp("fuzz") / "p.json"
+
+
+class TestMutatedProblemFiles:
+    """Every problem file exits with a code from README's table, and a
+    failure prints exactly one stderr line, starting with ``error:``."""
+
+    CODES = {code for code, _ in readme_exit_table()}
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        mutation=st.one_of(*map(mutations, sorted(BUNDLED_DOCS))),
+        command=st.sampled_from(sorted(FUZZ_COMMANDS)),
+    )
+    # a non-string family escaped as a TypeError with exit 1
+    @example(("triangular_case.json", "replace", ("objective", 0, "family"), ["tri"]), "solve")
+    @example(("trapezoidal_case.json", "replace", ("objective", 1, "family"), {}), "sweep")
+    # an integer beyond CPython's parser exited 3 naming no field
+    @example(("triangular_case.json", "replace", ("objective", 0, "params", 2), HUGE), "reduce")
+    def test_exit_code_and_one_error_line(self, fuzz_file, mutation, command):
+        write_problem(fuzz_file, mutated(*mutation))
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main([command, str(fuzz_file), *FUZZ_COMMANDS[command]])
+        assert code in self.CODES
+        if code != EXIT_OK:
+            lines = stderr.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), lines
